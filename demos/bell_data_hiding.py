@@ -15,7 +15,7 @@ from pthide import (
     helstrom_measurement,
     hiding_condition,
     orthogonal_support_strategy,
-    pl_exact_two_state_level,
+    qg_level_two_state,
     simulate_broadcast_scheme,
 )
 from pthide.constructions import bell_state, example1
@@ -29,10 +29,12 @@ print(
     f"(< 2/n = 1), passes={check.passes}"
 )
 
-# exact per-copy-local success for L copies: 1/2 + 2^-(L+1)
+# exact per-copy-local success for L copies: 1/2 + 2^-(L+1).  Here the
+# single-copy local optimum equals the partial-transpose value, so the
+# level closed form of the partial-transpose objective is attained.
 print("\nexact local ceiling by number of copies:")
 for copies in (1, 2, 4, 8, 16):
-    value = pl_exact_two_state_level(ensemble, copies, locc_attains_pt_bound=True)
+    value = qg_level_two_state(ensemble, copies)
     print(f"  L = {copies:2d}:  {value:.8f}")
 
 # simulate the broadcast protocol with the optimal per-copy strategy

@@ -5,14 +5,12 @@ from .operators import (
     DEFAULT_DIM_CAP,
     BipartiteDims,
     HermitianOperator,
-    Spectrum,
     abs_op,
     identity,
     is_psd,
     negative_part,
     partial_transpose,
     positive_part,
-    spectrum,
     tensor,
     tensor_power,
     trace_norm,
@@ -23,7 +21,6 @@ from .ensembles import (
     coarse_grain,
     fold,
     is_mutually_orthogonal,
-    omega,
     validate,
 )
 from .discrimination import (
@@ -47,7 +44,6 @@ from .multifold import (
     decay_curve,
     decay_curve_from_value,
     hiding_condition,
-    pl_exact_two_state_level,
     qg_level_two_state,
     qg_level_upper_bound,
     uniform_encoding_bound,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import StateEnsemble
-from .operators import BipartiteDims, HermitianOperator, partial_transpose, trace_norm
+from .operators import BipartiteDims, HermitianOperator, _eig_apply, partial_transpose, trace_norm
 
 POVM_PSD_TOL = 1e-9
 POVM_COMPLETENESS_TOL = 1e-9
@@ -187,10 +187,7 @@ class OptimalityReport:
 
 
 def _psd_clip(x: np.ndarray, clip_tol: float) -> np.ndarray:
-    w, v = np.linalg.eigh(x)
-    w = np.where(w > clip_tol, w, 0.0)
-    out = (v * w[..., None, :]) @ np.conjugate(np.swapaxes(v, -1, -2))
-    return (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
+    return _eig_apply(x, lambda w: np.where(w > clip_tol, w, 0.0))
 
 
 def _project_completeness(x: np.ndarray) -> np.ndarray:
@@ -212,10 +209,7 @@ def _project_povm_set(x: np.ndarray, opts: SolverOptions) -> np.ndarray:
     if n == 2:
         # minimize ||M0 - X0||^2 + ||(I - M0) - X1||^2 over 0 <= M0 <= I
         mid = (x[0] + np.eye(d, dtype=x.dtype) - x[1]) / 2
-        w, v = np.linalg.eigh(mid)
-        w = np.clip(w, 0.0, 1.0)
-        m0 = (v * w) @ v.conj().T
-        m0 = (m0 + m0.conj().T) / 2
+        m0 = _eig_apply(mid, lambda w: np.clip(w, 0.0, 1.0))
         return np.stack([m0, np.eye(d, dtype=x.dtype) - m0])
     scale = 1.0 + float(np.linalg.norm(x))
     cur = x

@@ -20,8 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrimination import Povm
-from .ensembles import StateEnsemble, coarse_grain, index_vectors, is_mutually_orthogonal
-from .operators import HermitianOperator, tensor
+from .ensembles import (
+    StateEnsemble,
+    _fold_items,
+    _folded_dims,
+    _tensor_bins,
+    coarse_grain,
+    is_mutually_orthogonal,
+)
+from .operators import HermitianOperator
 
 RNG_NAME = "numpy-philox"
 ENUMERATION_CAP = 10_000_000
@@ -62,15 +69,12 @@ class PerCopyParityStrategy:
         patterns with parity i; identical to
         ((M0+M1)^{xL} + (-1)^i (M0-M1)^{xL}) / 2.
         """
-        m0, m1 = self.measurement.elements
-        blocks: list[HermitianOperator | None] = [None, None]
-        for pattern in index_vectors(2, copies):
-            term = m1 if pattern[0] else m0
-            for bit in pattern[1:]:
-                term = tensor(term, m1 if bit else m0, cap=cap)
-            parity = sum(pattern) % 2
-            blocks[parity] = term if blocks[parity] is None else blocks[parity] + term
-        return Povm(blocks[0].dims, (blocks[0], blocks[1]))
+        if copies < 1:
+            raise ValueError("copies must be >= 1")
+        base = self.measurement.dims
+        dims = _folded_dims(base, copies, cap)
+        blocks = _tensor_bins([m.entries for m in self.measurement.elements], base, copies)
+        return Povm(dims, tuple(HermitianOperator(dims, b) for b in blocks))
 
 
 class GlobalPovmStrategy:
@@ -88,15 +92,14 @@ class GlobalPovmStrategy:
             self.name = name
 
     def outcome_table(self, ensemble: StateEnsemble, copies: int, cap: int | None = None):
-        """Born probabilities for every L-copy preparation, shape (n^L, outcomes)."""
-        states = []
-        for c in index_vectors(ensemble.n, copies):
-            rho = ensemble.items[c[0]][1]
-            for cl in c[1:]:
-                rho = tensor(rho, ensemble.items[cl][1], cap=cap)
-            states.append(rho.entries)
-        if states[0].shape[0] != self.povm.dims.total:
+        """Born probabilities for every L-copy preparation, shape (n^L, outcomes).
+
+        Rows follow the lexicographic order of :func:`pthide.ensembles.fold`;
+        the L-copy states are streamed, so only one of them is held at a time.
+        """
+        if ensemble.dims.total**copies != self.povm.dims.total:
             raise ValueError("POVM dims do not match the folded ensemble")
+        states = (rho.entries for _, rho in _fold_items(ensemble.items, copies, cap))
         return _born_table(states, [m.entries for m in self.povm.elements])
 
 
@@ -154,13 +157,17 @@ class SimResult:
 
 
 def _born_table(states, elements) -> np.ndarray:
-    table = np.empty((len(states), len(elements)))
+    """Born probabilities, one row per state of the iterable ``states``."""
+    rows = []
     for i, rho in enumerate(states):
+        row = []
         for o, m in enumerate(elements):
             p = complex(np.einsum("ij,ji->", m, rho))
             if abs(p.imag) > 1e-9 or p.real < -1e-9:
                 raise ValueError(f"invalid Born probability {p} for state {i}, outcome {o}")
-            table[i, o] = max(p.real, 0.0)
+            row.append(max(p.real, 0.0))
+        rows.append(row)
+    table = np.array(rows)
     row_sums = table.sum(axis=1)
     if np.abs(row_sums - 1.0).max() > 1e-8:
         raise ValueError("outcome probabilities do not sum to one; POVM incomplete?")
@@ -285,14 +292,18 @@ def simulate_direct_encoding(
     return _finish(x_guess == xs, cfg, "direct-encoding", analytic_reference)
 
 
+def _index_vectors(n: int, copies: int) -> np.ndarray:
+    """All length-L index vectors as rows, lexicographic (first entry slowest)."""
+    return np.indices((n,) * copies).reshape(copies, -1).T
+
+
 def _coarse_weights(ensemble: StateEnsemble, copies: int):
     """eta of every index vector plus the per-bin totals."""
     n = ensemble.n
-    etas = ensemble.probabilities
-    vectors = list(index_vectors(n, copies))
-    weights = np.array([np.prod([etas[c] for c in vec]) for vec in vectors])
-    sums = np.array([sum(vec) % n for vec in vectors])
-    bin_eta = np.array([weights[sums == i].sum() for i in range(n)])
+    vectors = _index_vectors(n, copies)
+    weights = ensemble.probabilities[vectors].prod(axis=1)
+    sums = vectors.sum(axis=1) % n
+    bin_eta = np.bincount(sums, weights=weights, minlength=n)
     return vectors, weights, sums, bin_eta
 
 
@@ -312,6 +323,16 @@ def exact_strategy_success(
     n = ensemble.n
     if scheme not in ("broadcast", "direct"):
         raise ValueError("scheme must be 'broadcast' or 'direct'")
+    if copies < 1:
+        raise ValueError("copies must be >= 1")
+    if isinstance(strategy, PerCopyParityStrategy):
+        pairs = (n * 2) ** copies
+    elif isinstance(strategy, GlobalPovmStrategy):
+        pairs = n**copies * strategy.povm.n_outcomes
+    else:
+        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    if pairs > ENUMERATION_CAP:
+        raise ValueError("enumeration exceeds the 10^7 (preparation, outcome) pair cap")
     vectors, weights, sums, bin_eta = _coarse_weights(ensemble, copies)
     if scheme == "direct":
         if np.any(bin_eta <= 0.0):
@@ -319,12 +340,8 @@ def exact_strategy_success(
         weights = weights / (n * bin_eta[sums])
 
     if isinstance(strategy, PerCopyParityStrategy):
-        n_out = 2
-        if len(vectors) * n_out**copies > ENUMERATION_CAP:
-            raise ValueError("enumeration exceeds the 10^7 (preparation, outcome) pair cap")
         table = strategy.outcome_table(ensemble)
-        patterns = list(index_vectors(n_out, copies))
-        parities = np.array([sum(p) % 2 for p in patterns])
+        parities = _index_vectors(2, copies).sum(axis=1) % 2
         total = 0.0
         for vec, w, target in zip(vectors, weights, sums):
             probs = np.ones(1)
@@ -333,11 +350,6 @@ def exact_strategy_success(
             total += w * probs[parities == target].sum()
         return float(total)
 
-    if isinstance(strategy, GlobalPovmStrategy):
-        if len(vectors) * strategy.povm.n_outcomes > ENUMERATION_CAP:
-            raise ValueError("enumeration exceeds the 10^7 (preparation, outcome) pair cap")
-        table = strategy.outcome_table(ensemble, copies, cap=cap)
-        correct = strategy.guesses[None, :] == sums[:, None]
-        return float((weights[:, None] * table * correct).sum())
-
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    table = strategy.outcome_table(ensemble, copies, cap=cap)
+    correct = strategy.guesses[None, :] == sums[:, None]
+    return float((weights[:, None] * table * correct).sum())

@@ -157,20 +157,3 @@ def decay_curve(
         qg = report.value
     return decay_curve_from_value(qg, ensemble.n, max_copies, which)
 
-
-def pl_exact_two_state_level(
-    ensemble: StateEnsemble, copies: int, locc_attains_pt_bound: bool = False
-) -> float:
-    """Exact per-copy-local optimum of the L-fold coarse graining, valid only
-    when the single-copy local optimum equals the partial-transpose value.
-
-    That premise is not checkable numerically here (no algorithm optimizes
-    over all LOCC measurements), so the caller must assert it explicitly;
-    it holds e.g. for ensembles built by :func:`pthide.constructions.example1`.
-    """
-    if not locc_attains_pt_bound:
-        raise ValueError(
-            "refusing: pass locc_attains_pt_bound=True only if the single-copy "
-            "local optimum is known to equal the partial-transpose value"
-        )
-    return qg_level_two_state(ensemble, copies)

@@ -91,9 +91,6 @@ class HermitianOperator:
         self._check_same_dims(other)
         return HermitianOperator(self.dims, self.entries - other.entries)
 
-    def __neg__(self) -> "HermitianOperator":
-        return HermitianOperator(self.dims, -self.entries)
-
     def __mul__(self, scalar) -> "HermitianOperator":
         return HermitianOperator(self.dims, self.entries * float(scalar))
 
@@ -112,24 +109,6 @@ def zero(dims: BipartiteDims) -> HermitianOperator:
     return HermitianOperator(dims, np.zeros((dims.total, dims.total)))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues (descending) and matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def spectrum(a: HermitianOperator) -> Spectrum:
-    """Full eigendecomposition of ``a`` with eigenvalues sorted descending."""
-    w, v = np.linalg.eigh(a.entries)
-    return Spectrum(eigenvalues=w[::-1].copy(), eigenvectors=v[:, ::-1].copy())
-
-
 def partial_transpose(a: HermitianOperator) -> HermitianOperator:
     """Transpose Bob's tensor factor in the fixed product basis.
 
@@ -145,25 +124,28 @@ def partial_transpose(a: HermitianOperator) -> HermitianOperator:
 
 def abs_op(e: HermitianOperator) -> HermitianOperator:
     """Operator absolute value |E|: same eigenvectors, eigenvalues |lambda|."""
-    w, v = np.linalg.eigh(e.entries)
-    return HermitianOperator(e.dims, _sym((v * np.abs(w)) @ v.conj().T))
+    return HermitianOperator(e.dims, _eig_apply(e.entries, np.abs))
 
 
 def positive_part(e: HermitianOperator) -> HermitianOperator:
     """The PSD component in the split E = E(+) - E(-) with |E| = E(+) + E(-)."""
-    w, v = np.linalg.eigh(e.entries)
-    return HermitianOperator(e.dims, _sym((v * np.maximum(w, 0.0)) @ v.conj().T))
+    return HermitianOperator(e.dims, _eig_apply(e.entries, lambda w: np.maximum(w, 0.0)))
 
 
 def negative_part(e: HermitianOperator) -> HermitianOperator:
     """The PSD operator E(-) = (|E| - E) / 2."""
-    w, v = np.linalg.eigh(e.entries)
-    return HermitianOperator(e.dims, _sym((v * np.maximum(-w, 0.0)) @ v.conj().T))
+    return HermitianOperator(e.dims, _eig_apply(e.entries, lambda w: np.maximum(-w, 0.0)))
 
 
-def _sym(x: np.ndarray) -> np.ndarray:
-    # kill the anti-Hermitian rounding noise left by eigenbasis reconstruction
-    return (x + x.conj().T) / 2
+def _eig_apply(x: np.ndarray, f) -> np.ndarray:
+    """``v f(w) v^dagger`` for a Hermitian matrix (or a stack of them) ``x = v w v^dagger``.
+
+    The result is Hermitized to kill the anti-Hermitian rounding noise left by
+    the eigenbasis reconstruction.
+    """
+    w, v = np.linalg.eigh(x)
+    out = (v * f(w)[..., None, :]) @ np.conjugate(np.swapaxes(v, -1, -2))
+    return (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
 
 
 def is_psd(e: HermitianOperator, tol: float | None = None) -> tuple[bool, float]:
@@ -202,11 +184,25 @@ def tensor(
             f"tensor product dimension {dims.total} exceeds cap {cap}; "
             "pass a larger cap explicitly to allow it"
         )
-    k = np.kron(a.entries, b.entries)
-    # kron index layout is (a_A, a_B, b_A, b_B); regroup to (a_A, b_A, a_B, b_B)
-    sh = (a.dims.dA, a.dims.dB, b.dims.dA, b.dims.dB)
-    k = k.reshape(sh + sh).transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(dims.total, dims.total)
-    return HermitianOperator(dims, np.ascontiguousarray(k))
+    k = _kron(_blocks(a.entries, a.dims), _blocks(b.entries, b.dims))
+    return HermitianOperator(dims, k.reshape(dims.total, dims.total))
+
+
+def _blocks(x: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """View a (D, D) matrix on ``dims`` as the (dA, dB, dA, dB) array :func:`_kron` takes."""
+    return x.reshape(dims.dA, dims.dB, dims.dA, dims.dB)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor product of operators stored as (dA, dB, dA, dB) arrays, stored the same way.
+
+    Each Alice index is (a_A, b_A) and each Bob index (a_B, b_B), so Alice's
+    factors stay grouped before Bob's.  Every entry is the single product
+    ``a[...] * b[...]``, exactly as in ``np.kron``.
+    """
+    (a_a, a_b), (b_a, b_b) = a.shape[:2], b.shape[:2]
+    k = a[:, None, :, None, :, None, :, None] * b[None, :, None, :, None, :, None, :]
+    return k.reshape(a_a * b_a, a_b * b_b, a_a * b_a, a_b * b_b)
 
 
 def tensor_power(a: HermitianOperator, exponent: int, cap: int | None = None) -> HermitianOperator:

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,13 @@ from pthide import (
     coarse_grain,
     fold,
     is_mutually_orthogonal,
-    omega,
     partial_transpose,
     tensor_power,
     validate,
 )
 from pthide.constructions import bell_state, example1, example2
 
-from conftest import random_two_state_ensemble
+from conftest import random_ensemble, random_two_state_ensemble
 
 D22 = BipartiteDims(2, 2)
 
@@ -55,16 +56,6 @@ def test_validate_flags_bad_trace_and_non_psd():
 
 def test_validate_example1_ensemble():
     assert validate(example1(bell_state())).ok
-
-
-def test_omega():
-    assert omega(3, (1, 2, 2)) == 2
-    assert omega(2, (1, 1, 1, 1)) == 0
-    assert omega(5, (0, 0, 0)) == 0
-    with pytest.raises(ValueError):
-        omega(3, (1, 3))
-    with pytest.raises(ValueError):
-        omega(1, (0,))
 
 
 def test_fold_single_copy_returns_ensemble():
@@ -169,3 +160,72 @@ def test_coarse_grain_preserves_orthogonality():
     e = example1(bell_state())
     for ell in (2, 3):
         assert is_mutually_orthogonal(coarse_grain(e, ell))
+
+
+def _kron_regrouped(a, b):
+    """Oracle for tensor: np.kron, regrouped from (a_A, a_B, b_A, b_B) order
+    to (a_A, b_A, a_B, b_B)."""
+    dims = BipartiteDims(a.dims.dA * b.dims.dA, a.dims.dB * b.dims.dB)
+    sh = (a.dims.dA, a.dims.dB, b.dims.dA, b.dims.dB)
+    k = np.kron(a.entries, b.entries).reshape(sh + sh).transpose(0, 2, 1, 3, 4, 6, 5, 7)
+    return HermitianOperator(dims, k.reshape(dims.total, dims.total))
+
+
+def _index_vector_products(ensemble, copies):
+    """Oracle: (index vector, eta, rho) with every product built from scratch."""
+    out = []
+    for c in product(range(ensemble.n), repeat=copies):
+        eta, rho = ensemble.items[c[0]]
+        for cl in c[1:]:
+            eta_l, rho_l = ensemble.items[cl]
+            eta *= eta_l
+            rho = _kron_regrouped(rho, rho_l)
+        out.append((c, eta, rho))
+    return out
+
+
+def _coarse_grain_oracle(ensemble, copies):
+    """Oracle: accumulate every index vector's weighted product into its bin."""
+    n = ensemble.n
+    bin_eta = [0.0] * n
+    bin_sum = [0.0] * n
+    for c, eta, rho in _index_vector_products(ensemble, copies):
+        i = sum(c) % n
+        bin_eta[i] += eta
+        bin_sum[i] = bin_sum[i] + eta * rho.entries
+    return [(bin_eta[i], bin_sum[i] / bin_eta[i]) for i in range(n)]
+
+
+def _random_real_ensemble(rng, n):
+    items = []
+    for eta in rng.dirichlet(np.ones(n)):
+        z = rng.standard_normal((4, 4))
+        rho = z @ z.T
+        items.append((eta, HermitianOperator(D22, (rho + rho.T) / (2 * np.trace(rho)))))
+    return StateEnsemble(D22, tuple(items))
+
+
+def test_fold_equals_index_vector_loop_exactly():
+    rng = np.random.default_rng(61)
+    for e, ell in ((random_ensemble(rng, 3), 3), (_random_real_ensemble(rng, 2), 4)):
+        got = fold(e, ell)
+        expected = _index_vector_products(e, ell)
+        assert got.n == len(expected)
+        for (eta, rho), (_, eta_ref, rho_ref) in zip(got.items, expected):
+            assert eta == eta_ref
+            assert rho.entries.dtype == rho_ref.entries.dtype
+            assert np.array_equal(rho.entries, rho_ref.entries)
+
+
+def test_coarse_grain_matches_index_vector_loop():
+    rng = np.random.default_rng(67)
+    cases = (
+        (random_ensemble(rng, 3), 3, np.complex128),
+        (_random_real_ensemble(rng, 4), 2, np.float64),
+    )
+    for e, ell, dtype in cases:
+        got = coarse_grain(e, ell)
+        for (eta, rho), (eta_ref, rho_ref) in zip(got.items, _coarse_grain_oracle(e, ell)):
+            assert abs(eta - eta_ref) <= 1e-12
+            assert rho.entries.dtype == dtype
+            assert np.abs(rho.entries - rho_ref).max() <= 1e-12

@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from pthide import (
     qg_two_state,
     simulate_broadcast_scheme,
     simulate_direct_encoding,
+    tensor,
     tensor_power,
 )
 from pthide.constructions import bell_state, example1
 
-from conftest import random_state
+from conftest import random_ensemble, random_povm, random_state
 
 D22 = BipartiteDims(2, 2)
 TRIALS = 100_000
@@ -249,3 +252,55 @@ def test_simulation_reproducible(bell_ensemble, optimal_parity):
     a = simulate_broadcast_scheme(cfg)
     b = simulate_broadcast_scheme(cfg)
     assert a.empirical_success == b.empirical_success
+
+
+def test_enumeration_cap_is_checked_before_enumerating(bell_ensemble, optimal_parity):
+    # 2^40 preparation vectors: refused at once, before any of them is listed
+    half = HermitianOperator(D22, np.eye(4) / 2)
+    coin = GlobalPovmStrategy(Povm(D22, (half, half)), guesses=[0, 1])
+    for strat in (optimal_parity, coin):
+        with pytest.raises(ValueError, match="cap"):
+            exact_strategy_success(bell_ensemble, 40, strat)
+        with pytest.raises(ValueError, match="copies"):
+            exact_strategy_success(bell_ensemble, 0, strat)
+
+
+def test_level_povm_matches_pattern_loop():
+    # oracle: sum the tensor product of every outcome pattern into its parity
+    m0, m1 = random_povm(np.random.default_rng(71), D22, 2).elements
+    strat = PerCopyParityStrategy(Povm(D22, (m0, m1)))
+    for ell in (1, 2, 3, 4):
+        blocks = [None, None]
+        for pattern in product((0, 1), repeat=ell):
+            term = m1 if pattern[0] else m0
+            for bit in pattern[1:]:
+                term = tensor(term, m1 if bit else m0)
+            parity = sum(pattern) % 2
+            blocks[parity] = term if blocks[parity] is None else blocks[parity] + term
+        got = strat.level_povm(ell)
+        for el, ref in zip(got.elements, blocks):
+            assert np.abs(el.entries - ref.entries).max() <= 1e-12
+    with pytest.raises(ValueError, match="cap"):
+        strat.level_povm(7)  # 4^7 = 16384 > 4096
+    with pytest.raises(ValueError, match="copies"):
+        strat.level_povm(0)
+
+
+def test_global_outcome_table_equals_state_list_exactly():
+    # oracle: list every L-copy state, then fill the Born table entry by entry
+    rng = np.random.default_rng(73)
+    e = random_ensemble(rng, 3)
+    povm = random_povm(rng, BipartiteDims(4, 4), 3)
+    states = []
+    for c in product(range(e.n), repeat=2):
+        rho = e.items[c[0]][1]
+        for cl in c[1:]:
+            rho = tensor(rho, e.items[cl][1])
+        states.append(rho.entries)
+    expected = np.empty((len(states), povm.n_outcomes))
+    for i, rho in enumerate(states):
+        for o, m in enumerate(povm.elements):
+            expected[i, o] = max(complex(np.einsum("ij,ji->", m.entries, rho)).real, 0.0)
+    expected /= expected.sum(axis=1)[:, None]
+    got = GlobalPovmStrategy(povm, [0, 1, 2]).outcome_table(e, 2)
+    assert np.array_equal(got, expected)

@@ -10,7 +10,6 @@ from pthide import (
     decay_curve,
     decay_curve_from_value,
     hiding_condition,
-    pl_exact_two_state_level,
     qg_level_two_state,
     qg_level_upper_bound,
     qg_two_state,
@@ -137,9 +136,7 @@ def test_decay_curve_log_linear_slope():
         assert residuals[0] < 1e-18
 
 
-def test_pl_exact_requires_explicit_assertion():
+def test_qg_level_two_state_bell_values():
     e = example1(bell_state())
-    with pytest.raises(ValueError, match="refusing"):
-        pl_exact_two_state_level(e, 3)
-    assert abs(pl_exact_two_state_level(e, 3, locc_attains_pt_bound=True) - 0.5625) < 1e-12
-    assert abs(pl_exact_two_state_level(e, 1, locc_attains_pt_bound=True) - 0.75) < 1e-12
+    assert abs(qg_level_two_state(e, 3) - 0.5625) < 1e-12
+    assert abs(qg_level_two_state(e, 1) - 0.75) < 1e-12

@@ -10,7 +10,6 @@ from pthide import (
     negative_part,
     partial_transpose,
     positive_part,
-    spectrum,
     tensor,
     tensor_power,
     trace_norm,
@@ -84,14 +83,6 @@ def test_pt_is_involution_and_trace_preserving():
         a = random_hermitian(D22, rng)
         assert np.array_equal(partial_transpose(partial_transpose(a)).entries, a.entries)
         assert abs(partial_transpose(a).trace() - a.trace()) <= 1e-12 * (1 + abs(a.trace()))
-
-
-def test_spectrum_descending_and_reconstructs():
-    rng = np.random.default_rng(5)
-    a = random_hermitian(D22, rng)
-    spec = spectrum(a)
-    assert np.all(np.diff(spec.eigenvalues) <= 0)
-    assert np.linalg.norm(spec.reconstruct() - a.entries) <= 1e-9 * a.dim
 
 
 def test_abs_op_examples():
