@@ -36,7 +36,12 @@ from .hiding import (
     simulate_broadcast_scheme,
     simulate_direct_encoding,
 )
-from .multifold import decay_curve_from_value, uniform_encoding_bound, qg_level_upper_bound
+from .multifold import (
+    _pt_upper_value,
+    decay_curve_from_value,
+    qg_level_upper_bound,
+    uniform_encoding_bound,
+)
 from .operators import DEFAULT_DIM_CAP, BipartiteDims
 from .serialize import (
     ensemble_to_dict,
@@ -144,14 +149,6 @@ def _solver_opts(args) -> SolverOptions:
     return SolverOptions(gap_tol=args.gap_tol, max_iters=args.max_iters)
 
 
-def _ensemble_qg(ensemble, args):
-    """(value, converged) for the partial-transpose objective."""
-    if ensemble.n == 2:
-        return qg_two_state(ensemble), True
-    report = solve_optimal_value(ensemble, use_pt=True, opts=_solver_opts(args))
-    return report.value, report.converged
-
-
 def cmd_qg(args) -> int:
     ensemble = _resolve_ensemble(args.ensemble, args.cap)
     report = solve_optimal_value(ensemble, use_pt=not args.no_pt, opts=_solver_opts(args))
@@ -200,7 +197,7 @@ def cmd_validate(args) -> int:
 
 def cmd_bounds(args) -> int:
     ensemble = _resolve_ensemble(args.ensemble, args.cap)
-    qg, converged = _ensemble_qg(ensemble, args)
+    qg, converged = _pt_upper_value(ensemble, _solver_opts(args))
     if not converged:
         print("optimizer did not converge; bounds would be unanchored", file=sys.stderr)
         return EXIT_NOT_CONVERGED

@@ -25,6 +25,8 @@ from .operators import BipartiteDims, HermitianOperator, _eig_apply, partial_tra
 POVM_PSD_TOL = 1e-9
 POVM_COMPLETENESS_TOL = 1e-9
 CERTIFY_TOL = 1e-8
+#: Past this value of step * ||G||, M is lost to rounding in M + step * G.
+_MAX_STEP_NORM = 1.0 / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -148,20 +150,19 @@ def helstrom_measurement(ensemble: StateEnsemble, use_pt: bool = False) -> Povm:
 class SolverOptions:
     """Knobs for :func:`solve_optimal_value`.
 
-    The step schedule multiplies the base step ``step_scale / ||G||`` by
-    ``min(1 + iteration / step_growth_every, step_growth_cap)``; growth keeps
-    late iterations from crawling once the active face is nearly identified.
+    The step schedule has no knobs of its own: it starts at ``2 / ||G||``
+    and doubles after every accepted projection (see
+    :func:`solve_optimal_value`).  ``dykstra_max_sweeps`` and
+    ``dykstra_tol`` bound the projection for more than two outcomes; the
+    step stops growing once a projection uses over half the sweep budget,
+    and a projection that misses the tolerance within it is rejected and
+    halves the step.
     """
 
     max_iters: int = 100_000
     gap_tol: float = 1e-6
-    step_scale: float = 2.0
-    step_growth_every: float = 50.0
-    step_growth_cap: float = 64.0
-    check_every: int = 25
     dykstra_max_sweeps: int = 200
     dykstra_tol: float = 1e-12
-    eig_clip_tol: float = 0.0
     commuting_fast_path: bool = True
     fast_path_seed: int = 20250801
 
@@ -173,6 +174,11 @@ class OptimalityReport:
     ``gap = Tr(dual_H) - value`` is a certified bound on the distance to the
     optimum: ``dual_H`` is feasible by construction, so the true optimum lies
     in ``[value, value + gap]`` whether or not the run converged.
+
+    ``value_history`` has one row ``(iteration, value, gap, step)`` per
+    checked iterate: its value and certified gap, and the step the next
+    projection tries from it.  A rejected projection repeats the iterate
+    with half the step.  The commuting fast path reports one row with step 0.
     """
 
     value: float
@@ -186,8 +192,8 @@ class OptimalityReport:
     value_history: np.ndarray = field(repr=False, default=None)
 
 
-def _psd_clip(x: np.ndarray, clip_tol: float) -> np.ndarray:
-    return _eig_apply(x, lambda w: np.where(w > clip_tol, w, 0.0))
+def _psd_clip(x: np.ndarray) -> np.ndarray:
+    return _eig_apply(x, lambda w: np.maximum(w, 0.0))
 
 
 def _project_completeness(x: np.ndarray) -> np.ndarray:
@@ -196,49 +202,66 @@ def _project_completeness(x: np.ndarray) -> np.ndarray:
     return x - resid[None, :, :] / n
 
 
-def _project_povm_set(x: np.ndarray, opts: SolverOptions) -> np.ndarray:
+def _project_povm_set(x: np.ndarray, opts: SolverOptions) -> tuple[np.ndarray, int | None]:
     """Project a block tuple onto {M_i PSD, sum_i M_i = identity}.
 
-    n = 1 and n = 2 admit exact projections; larger n runs Dykstra's
-    alternating scheme between the PSD cone product and the completeness
-    subspace (the affine set needs no correction term).
+    Returns the projection and the number of Dykstra sweeps it took, or None
+    if it did not converge.  n = 1 and n = 2 admit exact projections (0
+    sweeps); larger n runs Dykstra's alternating scheme between the PSD cone
+    product and the completeness subspace (the affine set needs no
+    correction term), which converges once a sweep moves the iterate by at
+    most ``dykstra_tol * (1 + ||x||)``, if it does so within
+    ``dykstra_max_sweeps``.
     """
     n, d = x.shape[0], x.shape[-1]
     if n == 1:
-        return np.eye(d, dtype=x.dtype)[None, :, :].copy()
+        return np.eye(d, dtype=x.dtype)[None, :, :].copy(), 0
     if n == 2:
         # minimize ||M0 - X0||^2 + ||(I - M0) - X1||^2 over 0 <= M0 <= I
         mid = (x[0] + np.eye(d, dtype=x.dtype) - x[1]) / 2
         m0 = _eig_apply(mid, lambda w: np.clip(w, 0.0, 1.0))
-        return np.stack([m0, np.eye(d, dtype=x.dtype) - m0])
+        return np.stack([m0, np.eye(d, dtype=x.dtype) - m0]), 0
     scale = 1.0 + float(np.linalg.norm(x))
     cur = x
     correction = np.zeros_like(x)
-    for _ in range(opts.dykstra_max_sweeps):
-        clipped = _psd_clip(cur + correction, opts.eig_clip_tol)
+    for sweep in range(1, opts.dykstra_max_sweeps + 1):
+        clipped = _psd_clip(cur + correction)
         correction = cur + correction - clipped
         nxt = _project_completeness(clipped)
         delta = float(np.linalg.norm(nxt - cur))
         cur = nxt
         if delta <= opts.dykstra_tol * scale:
-            break
-    return cur
+            return cur, sweep
+    return cur, None
+
+
+def _repair_povm(m: np.ndarray) -> np.ndarray:
+    """Make a nearly feasible block tuple a POVM to rounding.
+
+    Dykstra ends on the completeness projection, so its elements can have
+    eigenvalues slightly below zero.  Clipping them and renormalizing by
+    ``S^{-1/2} M_i S^{-1/2}`` with ``S = sum_i M_i`` restores both
+    positivity and completeness, so the reported value is a true lower bound.
+    """
+    m = _psd_clip(m)
+    r = _eig_apply(m.sum(axis=0), lambda w: 1.0 / np.sqrt(w))
+    out = r @ m @ r
+    return (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
 
 
 def _dual_lift(g: np.ndarray, m: np.ndarray):
-    """Value, residual minima, and the feasibility shift of the dual candidate.
+    """Value, dual candidate, residual minima, and the feasibility shift.
 
     Z is the Hermitized weighted operator sum; shifting by the worst
     violation ``lam`` makes ``Z + lam * I`` dominate every G_i.
     """
-    d = g.shape[-1]
     z_raw = np.einsum("nij,njk->ik", g, m)
     value = float(np.trace(z_raw).real)
     z = (z_raw + z_raw.conj().T) / 2
     resid_eigs = np.linalg.eigvalsh(z[None, :, :] - g)
     resid_min = resid_eigs[:, 0].copy()
     lam = max(0.0, float(-resid_min.min()))
-    return value, z, resid_min, lam, d
+    return value, z, resid_min, lam
 
 
 def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
@@ -304,11 +327,25 @@ def solve_optimal_value(
     """Maximize the (optionally partially transposed) guessing objective.
 
     Projected gradient ascent over the POVM set: the gradient of the linear
-    objective is the constant block tuple (eta_i * A_i); each step projects
-    back onto {M_i PSD, sum M_i = identity}; the run stops once the dual
-    candidate certifies a gap at most ``gap_tol``.  A non-converged run is
+    objective is the constant block tuple G = (eta_i * A_i); each step
+    projects ``M + step * G`` back onto {M_i PSD, sum M_i = identity}, and
+    the dual candidate's certified gap is checked after every step.  The run
+    stops once that gap is at most ``gap_tol``.  A non-converged run is
     reported as such, never silently truncated: the returned value/gap pair
     still brackets the optimum.
+
+    The step starts at ``2 / ||G||`` and doubles after every accepted
+    projection.  This is sound because the objective is linear: a projected
+    step never lowers it, whatever its length.  For two states every iterate
+    is a function of D = G0 - G1, namely M0 = clip(1/2 + S D / 2, 0, 1) with
+    S the sum of the steps so far, so the certified gap is at most
+    dim / (8 S) and doubling reaches ``gap_tol`` in a few dozen steps.  For
+    more states Dykstra's projection needs more sweeps the longer the step,
+    so the step stops growing once a projection used over half of
+    ``dykstra_max_sweeps``; a projection that does not converge at all is
+    rejected, and the step is halved and no longer grows.  Dykstra results
+    are repaired into exact POVMs before the gap is checked, so the reported
+    bracket rests on a feasible measurement.
 
     Ensembles whose objective operators pairwise commute (e.g. mixtures of
     operators sharing an eigenbasis) are solved exactly in one shot.
@@ -330,31 +367,37 @@ def solve_optimal_value(
                 converged=abs(gap) <= opts.gap_tol,
                 iterations=0,
                 method="commuting-eigenbasis",
-                value_history=np.array([[0.0, value]]),
+                value_history=np.array([[0.0, value, gap, 0.0]]),
             )
 
-    base_step = opts.step_scale / max(float(np.linalg.norm(g)), 1e-300)
+    g_norm = max(float(np.linalg.norm(g)), 1e-300)
+    step = 2.0 / g_norm
+    growing = True
     m = np.broadcast_to(np.eye(d, dtype=g.dtype) / n, g.shape).copy()
+    value, z, resid_min, lam = _dual_lift(g, m)
     history = []
-    converged = False
     iterations = 0
     while True:
-        value, z, resid_min, lam, _ = _dual_lift(g, m)
-        history.append((iterations, value))
-        gap = lam * d
-        if gap <= opts.gap_tol:
-            converged = True
+        history.append((iterations, value, lam * d, step))
+        if lam * d <= opts.gap_tol or iterations >= opts.max_iters:
             break
-        if iterations >= opts.max_iters:
-            break
-        for _ in range(opts.check_every):
-            if iterations >= opts.max_iters:
-                break
-            step = base_step * min(
-                1.0 + iterations / opts.step_growth_every, opts.step_growth_cap
-            )
-            m = _project_povm_set(m + step * g, opts)
-            iterations += 1
+        nxt, sweeps = _project_povm_set(m + step * g, opts)
+        iterations += 1
+        if sweeps is None:
+            step /= 2
+            growing = False
+            continue
+        m = nxt if n <= 2 else _repair_povm(nxt)
+        value, z, resid_min, lam = _dual_lift(g, m)
+        # Dykstra's sweep count climbs with the step, so a projection that
+        # needed over half the budget would likely fail at twice the step.
+        growing = (
+            growing
+            and 2 * sweeps <= opts.dykstra_max_sweeps
+            and step * g_norm < _MAX_STEP_NORM
+        )
+        if growing:
+            step *= 2
 
     h = z + lam * np.eye(d, dtype=z.dtype)
     gap = float(np.trace(h).real) - value
@@ -364,7 +407,7 @@ def solve_optimal_value(
         dual_h=HermitianOperator(ensemble.dims, h),
         gap=gap,
         residual_min_eigs=resid_min,
-        converged=converged,
+        converged=gap <= opts.gap_tol,
         iterations=iterations,
         method="projected-ascent",
         value_history=np.array(history),
@@ -398,7 +441,7 @@ def certify_optimal(
         )
     g = _objective_operators(ensemble, use_pt)
     m = np.stack([el.entries.astype(g.dtype, copy=False) for el in povm.elements])
-    _, z, resid_min, _, _ = _dual_lift(g, m)
+    _, z, resid_min, _ = _dual_lift(g, m)
     return CertificationResult(resid_min, bool(resid_min.min() >= -tol), tol)
 
 

@@ -105,18 +105,12 @@ def hiding_condition(
     Requires the states to be mutually orthogonal (globally perfectly
     distinguishable) and the partial-transpose value to sit strictly below
     2/n (compared with a convergence margin).  Two-state ensembles use the
-    closed form; larger ones run the optimizer.
+    closed form; larger ones run the optimizer and take the upper end of its
+    certified bracket.
     """
     n = ensemble.n
     orthogonal = is_mutually_orthogonal(ensemble, tol=orth_tol)
-    if n == 2:
-        qg = qg_two_state(ensemble)
-        converged = True
-    else:
-        opts = opts or SolverOptions(gap_tol=gap_tol)
-        report = solve_optimal_value(ensemble, use_pt=True, opts=opts)
-        qg = report.value + report.gap  # certified upper estimate
-        converged = report.converged
+    qg, converged = _pt_upper_value(ensemble, opts or SolverOptions(gap_tol=gap_tol))
     if not converged:
         passes = None
     else:
@@ -144,16 +138,25 @@ def decay_curve(
     which: str = "coarse",
     opts: SolverOptions | None = None,
 ) -> DecayCurve:
-    """Decay curve for an explicit ensemble; derives the single-copy value first."""
-    if ensemble.n == 2:
-        qg = qg_two_state(ensemble)
-    else:
-        report = solve_optimal_value(ensemble, use_pt=True, opts=opts)
-        if not report.converged:
-            raise ValueError(
-                "optimizer did not converge; cannot anchor the decay curve "
-                f"(certified interval [{report.value}, {report.value + report.gap}])"
-            )
-        qg = report.value
+    """Decay curve for an explicit ensemble, anchored at the certified upper
+    end of its single-copy value."""
+    qg, converged = _pt_upper_value(ensemble, opts)
+    if not converged:
+        raise ValueError(
+            "optimizer did not converge; cannot anchor the decay curve "
+            f"(certified upper value {qg})"
+        )
     return decay_curve_from_value(qg, ensemble.n, max_copies, which)
 
+
+def _pt_upper_value(ensemble: StateEnsemble, opts: SolverOptions | None) -> tuple[float, bool]:
+    """(certified upper end of the partial-transpose value, converged).
+
+    Two states use the exact closed form.  More states run the optimizer and
+    take ``value + gap``: an upper bound must be anchored at the upper end of
+    the certified bracket, never at the primal value below it.
+    """
+    if ensemble.n == 2:
+        return qg_two_state(ensemble), True
+    report = solve_optimal_value(ensemble, use_pt=True, opts=opts)
+    return report.value + report.gap, report.converged

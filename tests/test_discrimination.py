@@ -8,12 +8,14 @@ from pthide import (
     SolverOptions,
     StateEnsemble,
     certify_optimal,
+    coarse_grain,
     dual_bound,
     helstrom_measurement,
     helstrom_two_state,
     identity,
     partial_transpose,
     positive_part,
+    qg_level_two_state,
     qg_two_state,
     solve_optimal_value,
     success_probability,
@@ -142,6 +144,7 @@ def test_fast_path_agrees_with_generic_on_commuting_input():
     )
     assert fast.method == "commuting-eigenbasis"
     assert slow.method == "projected-ascent"
+    assert fast.value_history.shape == (1, 4)
     assert abs(fast.value - slow.value) < 1e-6
     assert abs(fast.value - 0.5) < 1e-12  # exact rational optimum for these params
 
@@ -159,6 +162,30 @@ def test_solver_value_history_monotone():
         rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=1e-8))
         values = rep.value_history[:, 1]
         assert np.all(np.diff(values) >= -1e-10)
+        # rows are (iteration, value, gap, step); the last row is the report
+        assert rep.value_history.shape[1] == 4
+        iters, _, gaps, steps = rep.value_history.T
+        assert iters[-1] == rep.iterations and values[-1] == rep.value
+        assert abs(gaps[-1] - rep.gap) <= 1e-12 and gaps[-1] <= 1e-8
+        assert np.all(steps > 0)
+        if n == 2:
+            # exact projections are never rejected, so the step doubles every row
+            assert np.allclose(steps[1:], 2 * steps[:-1], rtol=1e-15)
+
+
+def test_geometric_schedule_converges_in_tens_of_iterations():
+    rng = np.random.default_rng(16)
+    opts = SolverOptions(gap_tol=1e-7)
+    for _ in range(20):
+        e = random_two_state_ensemble(rng)
+        for ell in (2, 3):
+            rep = solve_optimal_value(coarse_grain(e, ell), use_pt=True, opts=opts)
+            # two-state solves run the optimizer, never the closed form
+            assert rep.method == "projected-ascent"
+            assert rep.converged
+            assert 0 < rep.iterations <= 40
+            closed = qg_level_two_state(e, ell)
+            assert rep.value - 1e-9 <= closed <= rep.value + rep.gap + 1e-9
 
 
 def test_sandwich_any_povm_below_certified_value():
@@ -186,6 +213,16 @@ def test_duality_and_certification_on_converged_runs():
         assert cert.certified
         # the returned dual operator is feasible by construction
         assert dual_bound(e, rep.dual_h, tol=1e-8).feasible
+    # Dykstra projections (n > 2) under the step back-off: 20 seeds on 2x3
+    opts = SolverOptions(gap_tol=gap_tol, max_iters=1000)
+    for seed in range(20):
+        for n in (3, 4):
+            e = random_ensemble(np.random.default_rng([11, seed]), n, BipartiteDims(2, 3))
+            rep = solve_optimal_value(e, use_pt=True, opts=opts)
+            assert rep.converged
+            assert -1e-12 <= rep.gap <= gap_tol
+            assert all(ok for _, _, ok in validate_povm(rep.povm))
+            assert dual_bound(e, rep.dual_h, tol=1e-8).feasible
 
 
 def test_pt_objective_equals_plain_on_diagonal_states():

@@ -6,6 +6,7 @@ import pytest
 from pthide import (
     BipartiteDims,
     HermitianOperator,
+    SolverOptions,
     StateEnsemble,
     decay_curve,
     decay_curve_from_value,
@@ -13,11 +14,12 @@ from pthide import (
     qg_level_two_state,
     qg_level_upper_bound,
     qg_two_state,
+    solve_optimal_value,
     uniform_encoding_bound,
 )
 from pthide.constructions import bell_state, example1, example2
 
-from conftest import random_state, random_two_state_ensemble
+from conftest import random_ensemble, random_state, random_two_state_ensemble
 
 # exact rationals for the (m, n, d) = (2, 3, 6) family: eta0 = 1764/4284 = 7/17
 ETA0_236 = Fraction(7, 17)
@@ -112,6 +114,17 @@ def test_decay_curve_matches_closed_form_for_two_states():
         assert abs(lower - 0.5) < 1e-15
         # n = 2: the generic bound coincides with the exact closed form
         assert abs(upper - qg_level_two_state(e, int(level))) < 1e-12
+
+
+def test_decay_curve_anchors_at_certified_upper_end():
+    e = random_ensemble(np.random.default_rng(39), 3)
+    opts = SolverOptions(gap_tol=1e-7)
+    rep = solve_optimal_value(e, use_pt=True, opts=opts)
+    assert rep.converged and rep.gap > 0
+    for which in ("coarse", "uniform"):
+        curve = decay_curve(e, 5, which=which, opts=opts)
+        expected = decay_curve_from_value(rep.value + rep.gap, 3, 5, which=which)
+        assert np.array_equal(curve.upper, expected.upper)
 
 
 def test_decay_curve_single_point():
