@@ -278,22 +278,13 @@ def _build_strategy(args, ensemble, copies):
     raise ValueError(f"unknown strategy {args.strategy!r}")
 
 
-def _auto_reference(ensemble, copies, strategy, scheme):
-    n_out = 2**copies if isinstance(strategy, PerCopyParityStrategy) else 1
-    if ensemble.n**copies * max(n_out, ensemble.n) > 1_000_000:
-        return None
-    return exact_strategy_success(
-        ensemble, copies, strategy, scheme=scheme, cap=DEFAULT_DIM_CAP
-    )
-
-
 def _run_sim(args, ensemble, copies):
     strategy = _build_strategy(args, ensemble, copies)
     cfg = ProtocolConfig(
         ensemble=ensemble, copies=copies, trials=args.trials, seed=args.seed, strategy=strategy
     )
     scheme = "direct" if args.direct_encoding else "broadcast"
-    reference = _auto_reference(ensemble, copies, strategy, scheme)
+    reference = exact_strategy_success(ensemble, copies, strategy, scheme=scheme, cap=args.cap)
     if args.direct_encoding:
         return simulate_direct_encoding(cfg, analytic_reference=reference, cap=args.cap)
     return simulate_broadcast_scheme(

@@ -9,8 +9,10 @@ Direct encoding: the hider instead sends the coarse-grained state indexed by
 ``x`` itself, drawn with uniform priors.
 
 Receiver strategies are simulated by Born-rule sampling with exact outcome
-probabilities; :func:`exact_strategy_success` enumerates every (preparation,
-outcome) pair for a noise-free reference.
+probabilities.  Success depends on a preparation only through the modulo-n
+bin of its index sum, so :func:`exact_strategy_success` reads it off the n
+bins of a cyclic convolution over the copies (``ensembles._mod_sum_bins``),
+and direct encoding samples a bin exactly from the same convolution.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .ensembles import (
     StateEnsemble,
     _fold_items,
     _folded_dims,
+    _mod_sum_bins,
     _tensor_bins,
     coarse_grain,
     is_mutually_orthogonal,
@@ -31,7 +34,6 @@ from .ensembles import (
 from .operators import HermitianOperator
 
 RNG_NAME = "numpy-philox"
-ENUMERATION_CAP = 10_000_000
 
 
 class PerCopyParityStrategy:
@@ -175,12 +177,19 @@ def _born_table(states, elements) -> np.ndarray:
 
 
 def _sample_rows(rng, table: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Categorical samples, one per entry of ``rows``, from table[rows]."""
+    """Categorical samples, one per entry of ``rows``, from table[rows].
+
+    A sample counts the cumulative weights of its row at or below one uniform
+    draw, capped at the last outcome.  With non-negative weights the cap is
+    the same as never comparing the last column, so each other column takes
+    one pass.
+    """
     cum = np.cumsum(table, axis=1)
-    pick = cum[rows]
     u = rng.random(rows.shape)
-    out = (u[..., None] >= pick).sum(axis=-1)
-    return np.minimum(out, table.shape[1] - 1)
+    out = np.zeros(rows.shape, dtype=int)
+    for k in range(table.shape[1] - 1):
+        out += u >= cum[:, k][rows]
+    return out
 
 
 def _finish(success_mask, cfg, scheme, reference) -> SimResult:
@@ -233,10 +242,8 @@ def simulate_broadcast_scheme(
     ensemble = cfg.ensemble
     n = ensemble.n
     rng = np.random.Generator(np.random.Philox(cfg.seed))
-    etas = ensemble.probabilities
-    prep_cum = np.cumsum(etas)
-    prep = np.minimum(
-        (rng.random((cfg.trials, cfg.copies))[..., None] >= prep_cum).sum(axis=-1), n - 1
+    prep = _sample_rows(
+        rng, ensemble.probabilities[None, :], np.zeros((cfg.trials, cfg.copies), dtype=int)
     )
     y = prep.sum(axis=1) % n
     x = rng.integers(0, n, cfg.trials)
@@ -254,57 +261,72 @@ def simulate_direct_encoding(
     x: int | None = None,
     analytic_reference: float | None = None,
     cap: int | None = None,
-    max_rejection_rounds: int = 10_000,
 ) -> SimResult:
     """Monte Carlo run of direct encoding: the receiver gets the coarse state
     of symbol x (uniform unless fixed) and guesses x directly.
 
-    Preparing the coarse state is simulated by sampling an index vector
-    conditioned on its modulo-n sum, which is distributionally identical to
-    building the mixture explicitly but needs only single-copy memory.
+    The coarse state is prepared exactly, with single-copy memory, as an
+    index vector conditioned on its modulo-n sum: with P_k(r) the chance that
+    the first k indices sum to r, copies L..1 are drawn backwards from
+    P(c_k = c | sum r) = eta_c P_{k-1}(r - c) / P_k(r).  A symbol whose bin
+    is empty (with uniform x: any empty bin) is refused before any draw.
     """
     ensemble = cfg.ensemble
     n = ensemble.n
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     etas = ensemble.probabilities
-    prep_cum = np.cumsum(etas)
+    prefix = [np.eye(n)[0]] + [np.array(_mod_sum_bins(etas, k)) for k in range(1, cfg.copies + 1)]
     if x is None:
+        if np.any(prefix[-1] <= 0.0):
+            raise ValueError("a coarse bin has zero probability; direct encoding undefined")
         xs = rng.integers(0, n, cfg.trials)
     else:
         if not 0 <= x < n:
             raise ValueError(f"symbol {x} out of range for n={n}")
+        if prefix[-1][x] <= 0.0:
+            raise ValueError(f"coarse bin {x} has zero probability; direct encoding undefined")
         xs = np.full(cfg.trials, x, dtype=int)
+    shift = (np.arange(n)[:, None] - np.arange(n)) % n  # shift[r, c] = r - c (mod n)
     prep = np.empty((cfg.trials, cfg.copies), dtype=int)
-    pending = np.arange(cfg.trials)
-    for _ in range(max_rejection_rounds):
-        draw = np.minimum(
-            (rng.random((pending.size, cfg.copies))[..., None] >= prep_cum).sum(axis=-1),
-            n - 1,
-        )
-        ok = draw.sum(axis=1) % n == xs[pending]
-        prep[pending[ok]] = draw[ok]
-        pending = pending[~ok]
-        if pending.size == 0:
-            break
-    if pending.size:
-        raise RuntimeError("conditional preparation sampling failed to fill all trials")
+    rest = xs
+    for k in range(cfg.copies, 0, -1):
+        table = prefix[k - 1][shift] * etas / np.where(prefix[k] > 0.0, prefix[k], 1.0)[:, None]
+        prep[:, k - 1] = _sample_rows(rng, table, rest)
+        rest = (rest - prep[:, k - 1]) % n
     x_guess = _simulate_guesses(cfg, rng, prep, cap=cap)
     return _finish(x_guess == xs, cfg, "direct-encoding", analytic_reference)
 
 
-def _index_vectors(n: int, copies: int) -> np.ndarray:
-    """All length-L index vectors as rows, lexicographic (first entry slowest)."""
-    return np.indices((n,) * copies).reshape(copies, -1).T
-
-
-def _coarse_weights(ensemble: StateEnsemble, copies: int):
-    """eta of every index vector plus the per-bin totals."""
-    n = ensemble.n
-    vectors = _index_vectors(n, copies)
-    weights = ensemble.probabilities[vectors].prod(axis=1)
-    sums = vectors.sum(axis=1) % n
-    bin_eta = np.bincount(sums, weights=weights, minlength=n)
-    return vectors, weights, sums, bin_eta
+def _coarse_table(ensemble: StateEnsemble, copies: int, strategy, cap: int | None):
+    """Bin weights, P(outcome | bin) (zero rows for empty bins) and the guess
+    of each outcome.  The bins convolve over the copies: for parity the
+    vectors eta_c * P(outcome | c), outcomes adding modulo 2; for a global
+    POVM the states eta_c * rho_c, as in :func:`pthide.ensembles.coarse_grain`.
+    """
+    etas = ensemble.probabilities
+    bin_eta = np.array(_mod_sum_bins(etas, copies))
+    full = bin_eta > 0.0
+    if isinstance(strategy, PerCopyParityStrategy):
+        per_copy = strategy.outcome_table(ensemble)
+        joint = _mod_sum_bins(
+            [eta * row for eta, row in zip(etas, per_copy)],
+            copies,
+            lambda a, b: a * b[0] + a[::-1] * b[1],
+        )
+        table = np.zeros((ensemble.n, 2))
+        table[full] = np.array(joint)[full] / bin_eta[full, None]
+        return bin_eta, table, np.arange(2)
+    if isinstance(strategy, GlobalPovmStrategy):
+        if ensemble.dims.total**copies != strategy.povm.dims.total:
+            raise ValueError("POVM dims do not match the folded ensemble")
+        _folded_dims(ensemble.dims, copies, cap)
+        weighted = [eta * rho.entries for eta, rho in ensemble.items]
+        bins = _tensor_bins(weighted, ensemble.dims, copies)
+        states = (b / eta for b, eta in zip(bins, bin_eta) if eta > 0.0)
+        table = np.zeros((ensemble.n, strategy.povm.n_outcomes))
+        table[full] = _born_table(states, [m.entries for m in strategy.povm.elements])
+        return bin_eta, table, strategy.guesses
+    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
 def exact_strategy_success(
@@ -314,42 +336,22 @@ def exact_strategy_success(
     scheme: str = "broadcast",
     cap: int | None = None,
 ) -> float:
-    """Deterministic success probability by full enumeration (no sampling).
+    """Deterministic success probability, exact up to rounding (no sampling).
 
-    Sums the exact Born probability of every (preparation vector, outcome
-    pattern) pair, weighted by the scheme's preparation distribution, with a
-    correct-guess indicator.  Refuses enumerations beyond 10^7 pairs.
+    Success depends on a preparation only through the modulo-n bin of its
+    index sum, so it is read off the n coarse bins: broadcast succeeds with
+    sum_i eta_i P(guess = i | bin i), direct encoding with
+    (1/n) sum_i P(guess = i | bin i).  Empty bins add nothing to broadcast;
+    direct encoding refuses them.
     """
-    n = ensemble.n
     if scheme not in ("broadcast", "direct"):
         raise ValueError("scheme must be 'broadcast' or 'direct'")
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    if isinstance(strategy, PerCopyParityStrategy):
-        pairs = (n * 2) ** copies
-    elif isinstance(strategy, GlobalPovmStrategy):
-        pairs = n**copies * strategy.povm.n_outcomes
-    else:
-        raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
-    if pairs > ENUMERATION_CAP:
-        raise ValueError("enumeration exceeds the 10^7 (preparation, outcome) pair cap")
-    vectors, weights, sums, bin_eta = _coarse_weights(ensemble, copies)
-    if scheme == "direct":
-        if np.any(bin_eta <= 0.0):
-            raise ValueError("a coarse bin has zero probability; direct encoding undefined")
-        weights = weights / (n * bin_eta[sums])
-
-    if isinstance(strategy, PerCopyParityStrategy):
-        table = strategy.outcome_table(ensemble)
-        parities = _index_vectors(2, copies).sum(axis=1) % 2
-        total = 0.0
-        for vec, w, target in zip(vectors, weights, sums):
-            probs = np.ones(1)
-            for cl in vec:
-                probs = np.multiply.outer(probs, table[cl]).reshape(-1)
-            total += w * probs[parities == target].sum()
-        return float(total)
-
-    table = strategy.outcome_table(ensemble, copies, cap=cap)
-    correct = strategy.guesses[None, :] == sums[:, None]
-    return float((weights[:, None] * table * correct).sum())
+    bin_eta, table, guesses = _coarse_table(ensemble, copies, strategy, cap)
+    hit = (table * (guesses == np.arange(ensemble.n)[:, None])).sum(axis=1)
+    if scheme == "broadcast":
+        return float(bin_eta @ hit)
+    if np.any(bin_eta <= 0.0):
+        raise ValueError("a coarse bin has zero probability; direct encoding undefined")
+    return float(hit.mean())

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pthide import cli
 from pthide.cli import main
 from pthide.constructions import bell_state, example1
 from pthide.discrimination import helstrom_measurement
@@ -171,6 +172,30 @@ def test_hide_sim_json(capsys):
     assert abs(ref - 0.625) < 1e-9
     assert abs(payload["empirical_success"] - ref) <= 5 * payload["stderr"]
     assert payload["rng"] == "numpy-philox"
+
+
+def test_hide_sim_reference_honours_cap(capsys, monkeypatch):
+    # the exact reference is built under --cap, not under the default cap
+    monkeypatch.setattr(cli, "DEFAULT_DIM_CAP", 64)
+    code, out, _ = run(
+        capsys,
+        "hide-sim", "--ensemble", "bell-example1", "--L", "4",
+        "--strategy", "global-orthogonal", "--cap", "4096", "--trials", "2000",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["analytic_reference"] - 1.0) < 1e-9
+    assert payload["empirical_success"] == 1.0
+
+
+def test_hide_sim_reference_at_many_copies(capsys):
+    code, out, _ = run(
+        capsys, "hide-sim", "--ensemble", "bell-example1", "--L", "12", "--trials", "1000"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["analytic_reference"] - (0.5 + 0.5 * 2.0**-12)) < 1e-12
+    assert payload["z_score"] is not None
 
 
 def test_hide_sim_csv_sweep(capsys):

@@ -8,6 +8,7 @@ from pthide import (
     HermitianOperator,
     Povm,
     ProtocolConfig,
+    StateEnsemble,
     GlobalPovmStrategy,
     PerCopyParityStrategy,
     exact_strategy_success,
@@ -232,10 +233,10 @@ def test_direct_encoding_fixed_symbol(bell_ensemble, correlation_parity):
 
 
 def test_enumeration_cap():
+    # 4^14 (preparation, outcome) pairs: no enumeration cap, the bins give the value
     e = example1(bell_state())
     strat = PerCopyParityStrategy(helstrom_measurement(e, use_pt=True))
-    with pytest.raises(ValueError, match="cap"):
-        exact_strategy_success(e, 14, strat)
+    assert abs(exact_strategy_success(e, 14, strat) - (0.5 + 0.5 * 2.0**-14)) < 1e-12
 
 
 def test_protocol_config_validation(bell_ensemble, optimal_parity):
@@ -255,14 +256,84 @@ def test_simulation_reproducible(bell_ensemble, optimal_parity):
 
 
 def test_enumeration_cap_is_checked_before_enumerating(bell_ensemble, optimal_parity):
-    # 2^40 preparation vectors: refused at once, before any of them is listed
+    # 2^40 preparation vectors: parity needs only the bins, and a single-copy
+    # POVM is refused for 40 copies before any bin is built
+    exact = exact_strategy_success(bell_ensemble, 40, optimal_parity)
+    assert abs(exact - (0.5 + 0.5 * 2.0**-40)) < 1e-13  # 2^-41 away from 1/2
     half = HermitianOperator(D22, np.eye(4) / 2)
     coin = GlobalPovmStrategy(Povm(D22, (half, half)), guesses=[0, 1])
+    with pytest.raises(ValueError, match="POVM dims"):
+        exact_strategy_success(bell_ensemble, 40, coin)
     for strat in (optimal_parity, coin):
-        with pytest.raises(ValueError, match="cap"):
-            exact_strategy_success(bell_ensemble, 40, strat)
         with pytest.raises(ValueError, match="copies"):
             exact_strategy_success(bell_ensemble, 0, strat)
+
+
+def _enumerated_success(ensemble, copies, strategy, scheme):
+    """Oracle: the exact Born probability of every (index vector, outcome
+    pattern) pair, weighted by the scheme's preparation distribution."""
+    n = ensemble.n
+    vectors = np.indices((n,) * copies).reshape(copies, -1).T
+    weights = ensemble.probabilities[vectors].prod(axis=1)
+    sums = vectors.sum(axis=1) % n
+    if scheme == "direct":
+        bin_eta = np.bincount(sums, weights=weights, minlength=n)
+        weights = weights / (n * bin_eta[sums])
+    if isinstance(strategy, PerCopyParityStrategy):
+        table = strategy.outcome_table(ensemble)
+        parities = np.indices((2,) * copies).reshape(copies, -1).sum(axis=0) % 2
+        total = 0.0
+        for vec, w, target in zip(vectors, weights, sums):
+            probs = np.ones(1)
+            for cl in vec:
+                probs = np.multiply.outer(probs, table[cl]).reshape(-1)
+            total += w * probs[parities == target].sum()
+        return float(total)
+    table = strategy.outcome_table(ensemble, copies)
+    correct = strategy.guesses[None, :] == sums[:, None]
+    return float((weights[:, None] * table * correct).sum())
+
+
+def test_exact_success_matches_enumeration():
+    rng = np.random.default_rng(75)
+    cases = []
+    for n in (2, 3, 2, 3):
+        e = random_ensemble(rng, n)
+        cases += [(e, ell, PerCopyParityStrategy(random_povm(rng, D22, 2))) for ell in (1, 2, 3, 4)]
+        for ell, dims in ((1, D22), (2, BipartiteDims(4, 4))):
+            povm = random_povm(rng, dims, 3)
+            cases.append((e, ell, GlobalPovmStrategy(povm, rng.integers(0, n, 3))))
+    for e, ell, strat in cases:
+        for scheme in ("broadcast", "direct"):
+            got = exact_strategy_success(e, ell, strat, scheme=scheme)
+            assert abs(got - _enumerated_success(e, ell, strat, scheme)) <= 1e-12
+    # a zero-weight state leaves bin 1 empty at L = 1; broadcast still counts it
+    e = random_ensemble(rng, 3)
+    e = StateEnsemble(D22, ((0.6, e.states[0]), (0.0, e.states[1]), (0.4, e.states[2])))
+    for ell in (1, 2, 3):
+        strat = PerCopyParityStrategy(random_povm(rng, D22, 2))
+        got = exact_strategy_success(e, ell, strat)
+        assert abs(got - _enumerated_success(e, ell, strat, "broadcast")) <= 1e-12
+    for ell, dims in ((1, D22), (2, BipartiteDims(4, 4))):
+        strat = GlobalPovmStrategy(random_povm(rng, dims, 3), [0, 1, 2])
+        got = exact_strategy_success(e, ell, strat)
+        assert abs(got - _enumerated_success(e, ell, strat, "broadcast")) <= 1e-12
+
+
+def test_direct_encoding_refuses_empty_bins_before_sampling(correlation_parity):
+    # eta = (1, 0): every preparation sums to 0, so bin 1 is empty
+    rho0, rho1 = example1(bell_state()).states
+    e = StateEnsemble(D22, ((1.0, rho0), (0.0, rho1)))
+    cfg = ProtocolConfig(ensemble=e, copies=2, trials=1000, seed=3, strategy=correlation_parity)
+    for x in (None, 1):
+        with pytest.raises(ValueError, match="zero probability"):
+            simulate_direct_encoding(cfg, x=x)
+    with pytest.raises(ValueError, match="zero probability"):
+        exact_strategy_success(e, 2, correlation_parity, scheme="direct")
+    # the one nonempty bin can still be encoded; it is the broadcast preparation
+    res = simulate_direct_encoding(cfg, x=0)
+    exact = exact_strategy_success(e, 2, correlation_parity)
+    assert abs(res.empirical_success - exact) <= 4 * res.stderr
 
 
 def test_level_povm_matches_pattern_loop():
