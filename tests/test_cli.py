@@ -185,7 +185,9 @@ def test_hide_sim_reference_honours_cap(capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["analytic_reference"] - 1.0) < 1e-9
+    assert payload["analytic_reference"] <= 1.0
     assert payload["empirical_success"] == 1.0
+    assert payload["z_score"] == 0.0
 
 
 def test_hide_sim_reference_at_many_copies(capsys):

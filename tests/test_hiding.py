@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pthide import (
     BipartiteDims,
@@ -58,7 +60,8 @@ def test_parity_strategy_needs_two_outcomes():
 
 
 def test_born_sampling_matches_probabilities():
-    # frequency of each outcome within 5 sigma of its exact Born weight
+    # frequency of each outcome within 5 sigma of its exact Born weight, for
+    # one law shared by every draw and for rows that vary per trial
     rng_state = random_state(D22, np.random.default_rng(50))
     povm = helstrom_measurement(
         example1(bell_state()), use_pt=False
@@ -70,13 +73,22 @@ def test_born_sampling_matches_probabilities():
     e = StateEnsemble(D22, ((1.0, rng_state),))
     table = strat.outcome_table(e)
     rng = np.random.default_rng(123)
-    rows = np.zeros((TRIALS, 1), dtype=int)
-    outcomes = _sample_rows(rng, table, rows)
+    outcomes = _sample_rows(rng, table[0], np.zeros(TRIALS, dtype=int))
     for o in range(2):
         p = table[0, o]
         freq = float((outcomes == o).mean())
         sigma = np.sqrt(p * (1 - p) / TRIALS)
         assert abs(freq - p) <= 5 * sigma
+    # zero weights in the first, middle and last column are never drawn
+    table = np.array([[0.0, 0.2, 0.5, 0.3], [0.1, 0.0, 0.6, 0.3], [0.25, 0.25, 0.5, 0.0]])
+    rows = rng.integers(0, 3, TRIALS)
+    outcomes = _sample_rows(rng, table, rows)
+    for r in range(3):
+        drawn = outcomes[rows == r]
+        for o in range(4):
+            p = table[r, o]
+            freq = float((drawn == o).mean())
+            assert abs(freq - p) <= 5 * np.sqrt(p * (1 - p) / drawn.size)
 
 
 def test_broadcast_parity_matches_closed_form(bell_ensemble, optimal_parity):
@@ -375,3 +387,105 @@ def test_global_outcome_table_equals_state_list_exactly():
     expected /= expected.sum(axis=1)[:, None]
     got = GlobalPovmStrategy(povm, [0, 1, 2]).outcome_table(e, 2)
     assert np.array_equal(got, expected)
+
+
+def test_z_score_for_a_certain_strategy(bell_ensemble):
+    # every trial succeeds: the estimate has no spread and equals the
+    # reference, so z is 0 and the reference stays a probability
+    for ell in range(1, 6):
+        strat = orthogonal_support_strategy(bell_ensemble, ell)
+        cfg = ProtocolConfig(
+            ensemble=bell_ensemble, copies=ell, trials=2000, seed=ell, strategy=strat
+        )
+        for scheme, runner in (
+            ("broadcast", simulate_broadcast_scheme),
+            ("direct", simulate_direct_encoding),
+        ):
+            exact = exact_strategy_success(bell_ensemble, ell, strat, scheme=scheme)
+            assert 0.0 <= exact <= 1.0
+            res = runner(cfg, analytic_reference=exact)
+            assert res.empirical_success == 1.0
+            assert res.analytic_reference <= 1.0
+            assert abs(res.z_score) <= 5.0
+
+
+def test_simulation_memory_does_not_grow_with_copies(bell_ensemble, correlation_parity):
+    # copies are drawn one at a time: peak traced memory at L = 64 stays at
+    # its L = 2 level (a (trials, L) index array alone is 51 MB at L = 64)
+    import tracemalloc
+
+    def peak(runner, ell):
+        cfg = ProtocolConfig(
+            ensemble=bell_ensemble, copies=ell, trials=100_000, seed=5,
+            strategy=correlation_parity,
+        )
+        tracemalloc.start()
+        try:
+            runner(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for runner in (simulate_broadcast_scheme, simulate_direct_encoding):
+        assert peak(runner, 64) <= 1.25 * peak(runner, 2)
+
+
+def test_three_state_simulation_matches_exact():
+    # n = 3: the 2n-category joint draws and the per-trial rows of the
+    # direct-encoding laws, against the exact success, within 4 sigma
+    rng = np.random.default_rng(77)
+    e = random_ensemble(rng, 3)
+    parity = PerCopyParityStrategy(random_povm(rng, D22, 2))
+    for ell in (1, 2, 3):
+        dims = BipartiteDims(2**ell, 2**ell)
+        strategies = (parity, GlobalPovmStrategy(random_povm(rng, dims, 3), rng.permutation(3)))
+        for strat in strategies:
+            cfg = ProtocolConfig(
+                ensemble=e, copies=ell, trials=TRIALS, seed=300 + ell, strategy=strat
+            )
+            for scheme, runner in (
+                ("broadcast", simulate_broadcast_scheme),
+                ("direct", simulate_direct_encoding),
+            ):
+                exact = exact_strategy_success(e, ell, strat, scheme=scheme)
+                res = runner(cfg, analytic_reference=exact)
+                assert abs(res.z_score) <= 4.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    etas=st.integers(2, 5).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n
+        ).filter(lambda w: sum(w) > 0.0)
+    ),
+    copies=st.integers(1, 12),
+)
+def test_direct_encoding_laws(etas, copies):
+    # each copy's law given the sum still to draw: rows are laws on every
+    # nonempty bin, periodic in the unreduced state s, and equal to
+    # eta_c P_{m-1}(r - c) / P_m(r) for r = -s (mod n); every index they can
+    # draw leads to a nonempty bin of the next copy, and after the last copy
+    # the sum drawn is the encoded symbol
+    from pthide.ensembles import _mod_sum_bins
+    from pthide.hiding import _direct_laws
+
+    etas = np.array(etas) / sum(etas)
+    n = etas.size
+    bin_eta, laws = _direct_laws(etas, copies)
+    assert np.allclose(bin_eta, _mod_sum_bins(etas, copies), rtol=0, atol=1e-14)
+    prefix = [np.eye(n)[0]] + [np.array(_mod_sum_bins(etas, m)) for m in range(1, copies + 1)]
+    assert len(laws) == copies
+    for law, m in zip(laws, range(copies, 0, -1)):
+        assert law.shape == (n * (copies + 1), n)
+        assert np.all(law >= 0.0)
+        for s, row in enumerate(law):
+            r = -s % n
+            assert np.array_equal(row, law[s % n])
+            if prefix[m][r] <= 0.0:
+                continue
+            assert abs(row.sum() - 1.0) <= 1e-12
+            expected = etas * prefix[m - 1][(r - np.arange(n)) % n] / prefix[m][r]
+            assert np.allclose(row, expected, rtol=1e-12, atol=0)
+            for c in np.flatnonzero(row):
+                assert prefix[m - 1][(r - c) % n] > 0.0
