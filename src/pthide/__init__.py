@@ -58,7 +58,6 @@ from .constructions import (
     flip_operator,
     random_npt_state,
     werner_d_threshold,
-    werner_projectors,
     werner_state,
 )
 from .hiding import (

@@ -338,15 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pthide {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed_default=None):
+    def common(p):
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         p.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP, help="dimension cap")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=seed_default,
-            help="64-bit RNG seed (used by stochastic subcommands)",
-        )
 
     p = sub.add_parser("qg", help="optimize the (PT) guessing objective of an ensemble")
     p.add_argument("--ensemble", required=True, help="JSON file or builtin name")
@@ -382,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", required=True, help="m,n,d")
     p.add_argument("--lmax", type=int, required=True)
     p.add_argument("--which", choices=("coarse", "uniform"), default="coarse")
-    common(p)
+    p.add_argument("--out", default=None, help="write output here instead of stdout")
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("example1", help="two-state hiding ensemble from an NPT state")
@@ -394,8 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--explicit", action="store_true", help="insist on explicit matrices")
-    p.add_argument("--formulas-only", action="store_true", help="never build matrices")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--explicit", action="store_true", help="insist on explicit matrices")
+    mode.add_argument("--formulas-only", action="store_true", help="never build matrices")
     common(p)
     p.set_defaults(func=cmd_example2)
 
@@ -413,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--withhold-broadcast", action="store_true")
     p.add_argument("--csv", action="store_true", help="sweep L = 1..lmax, emit CSV")
     p.add_argument("--lmax", type=int, default=5)
-    common(p, seed_default=0)
+    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    common(p)
     p.set_defaults(func=cmd_hide_sim)
 
     return parser

@@ -24,10 +24,16 @@ from .operators import (
     BipartiteDims,
     HermitianOperator,
     abs_op,
+    is_psd,
     partial_transpose,
     tensor,
     trace_norm,
 )
+
+#: Eigenvalue tolerance of example1's checks that sigma is PSD and sigma^PT is not.
+_PSD_TOL = 1e-9
+#: Draws random_npt_state makes before it gives up.
+_NPT_MAX_TRIES = 10_000
 
 
 def bell_state() -> HermitianOperator:
@@ -49,24 +55,6 @@ def flip_operator(d: int) -> HermitianOperator:
     return HermitianOperator(BipartiteDims(d, d), f)
 
 
-def werner_projectors(d: int) -> tuple[HermitianOperator, HermitianOperator]:
-    """Rank-1 projector onto the maximally correlated vector and its complement.
-
-    P0 = (1/d) sum_{ij} |ii><jj| is the partial transpose of F/d; P1 is its
-    orthogonal complement.  (identity + F)^PT = (1+d) P0 + P1 and
-    (identity - F)^PT = (1-d) P0 + P1.
-    """
-    if d < 2:
-        raise ValueError("projectors need local dimension >= 2")
-    dims = BipartiteDims(d, d)
-    vec = np.zeros(d * d)
-    for i in range(d):
-        vec[i * d + i] = 1.0
-    p0 = np.outer(vec, vec) / d
-    p1 = np.eye(d * d) - p0
-    return HermitianOperator(dims, p0), HermitianOperator(dims, p1)
-
-
 def werner_state(d: int, sign: int) -> HermitianOperator:
     """Normalized (identity + sign * F) / (d^2 + sign * d) for sign in {+1, -1}.
 
@@ -80,7 +68,7 @@ def werner_state(d: int, sign: int) -> HermitianOperator:
     return HermitianOperator(f.dims, (ident + sign * f.entries) / (d * d + sign * d))
 
 
-def example1(sigma: HermitianOperator, npt_tol: float = 1e-9) -> StateEnsemble:
+def example1(sigma: HermitianOperator) -> StateEnsemble:
     """Orthogonal two-state ensemble distilled from the partial transpose of
     an NPT state.
 
@@ -97,12 +85,12 @@ def example1(sigma: HermitianOperator, npt_tol: float = 1e-9) -> StateEnsemble:
     tr = sigma.trace()
     if abs(tr - 1.0) > 1e-10:
         raise ValueError(f"sigma must have unit trace, got {tr}")
-    lmin = float(np.linalg.eigvalsh(sigma.entries)[0])
-    if lmin < -1e-9:
+    psd, lmin = is_psd(sigma, _PSD_TOL)
+    if not psd:
         raise ValueError(f"sigma must be positive semidefinite (min eigenvalue {lmin:.3e})")
     pt = partial_transpose(sigma)
-    pt_lmin = float(np.linalg.eigvalsh(pt.entries)[0])
-    if pt_lmin >= -npt_tol:
+    ppt, pt_lmin = is_psd(pt, _PSD_TOL)
+    if ppt:
         raise ValueError(
             "sigma has a positive partial transpose "
             f"(min eigenvalue {pt_lmin:.3e}); the construction needs an NPT state"
@@ -255,18 +243,15 @@ def random_density_state(dims: BipartiteDims, rng: np.random.Generator) -> Hermi
     return HermitianOperator(dims, (rho + rho.conj().T) / 2)
 
 
-def random_npt_state(
-    dims: BipartiteDims, seed: int, npt_tol: float = 1e-9, max_tries: int = 10_000
-) -> HermitianOperator:
+def random_npt_state(dims: BipartiteDims, seed: int, npt_tol: float = 1e-9) -> HermitianOperator:
     """Random density operator rejected until its partial transpose has a
     negative eigenvalue below -npt_tol."""
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(_NPT_MAX_TRIES):
         rho = random_density_state(dims, rng)
-        lmin = float(np.linalg.eigvalsh(partial_transpose(rho).entries)[0])
-        if lmin < -npt_tol:
+        if not is_psd(partial_transpose(rho), npt_tol)[0]:
             return rho
     raise ValueError(
-        f"no NPT sample found on {dims.dA}x{dims.dB} after {max_tries} tries; "
+        f"no NPT sample found on {dims.dA}x{dims.dB} after {_NPT_MAX_TRIES} tries; "
         "such states may be rare or absent at these dimensions"
     )

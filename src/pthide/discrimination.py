@@ -20,11 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import StateEnsemble
-from .operators import BipartiteDims, HermitianOperator, _eig_apply, partial_transpose, trace_norm
+from .operators import BipartiteDims, HermitianOperator, _eig_apply, is_psd
+from .operators import partial_transpose, trace_norm
 
 POVM_PSD_TOL = 1e-9
 POVM_COMPLETENESS_TOL = 1e-9
 CERTIFY_TOL = 1e-8
+#: Dykstra's projection (more than two outcomes) stops once a sweep moves the
+#: iterate by at most _DYKSTRA_TOL * (1 + ||x||), and fails after
+#: _DYKSTRA_MAX_SWEEPS sweeps.
+_DYKSTRA_MAX_SWEEPS = 200
+_DYKSTRA_TOL = 1e-12
 #: Past this value of step * ||G||, M is lost to rounding in M + step * G.
 _MAX_STEP_NORM = 1.0 / np.finfo(float).eps
 
@@ -48,29 +54,21 @@ class Povm:
         return len(self.elements)
 
 
-def validate_povm(
-    povm: Povm,
-    psd_tol: float = POVM_PSD_TOL,
-    completeness_tol: float = POVM_COMPLETENESS_TOL,
-    strict: bool = False,
-):
+def validate_povm(povm: Povm):
     """Check positivity of each element and completeness of the sum.
 
-    Returns a list of (name, residual, ok) triples; raises in strict mode.
+    Returns a list of (name, residual, ok) triples.
     """
     checks = []
     total = np.zeros((povm.dims.total, povm.dims.total))
     for i, m in enumerate(povm.elements):
-        lmin = float(np.linalg.eigvalsh(m.entries)[0])
-        checks.append((f"element_{i}_psd", lmin, lmin >= -psd_tol))
+        ok, lmin = is_psd(m, POVM_PSD_TOL)
+        checks.append((f"element_{i}_psd", lmin, ok))
         total = total + m.entries
     completeness = float(np.linalg.norm(total - np.eye(povm.dims.total)))
     checks.append(
-        ("completeness", completeness, completeness <= completeness_tol * povm.dims.total)
+        ("completeness", completeness, completeness <= POVM_COMPLETENESS_TOL * povm.dims.total)
     )
-    if strict and not all(ok for _, _, ok in checks):
-        bad = ", ".join(f"{name} ({res:.3e})" for name, res, ok in checks if not ok)
-        raise ValueError(f"POVM validation failed: {bad}")
     return checks
 
 
@@ -92,10 +90,8 @@ def success_probability(ensemble: StateEnsemble, povm: Povm, use_pt: bool = Fals
         )
     if povm.dims != ensemble.dims:
         raise ValueError("POVM and ensemble dimensions differ")
-    total = 0.0 + 0.0j
-    for (eta, rho), m in zip(ensemble.items, povm.elements):
-        a = partial_transpose(rho).entries if use_pt else rho.entries
-        total += eta * np.einsum("ij,ji->", a, m.entries)
+    g = _objective_operators(ensemble, use_pt)
+    total = sum(complex(np.einsum("ij,ji->", gi, m.entries)) for gi, m in zip(g, povm.elements))
     if abs(total.imag) > 1e-10 * (1.0 + abs(total.real)):
         raise ValueError(f"objective has non-negligible imaginary part {total.imag:.3e}")
     return float(total.real)
@@ -148,22 +144,17 @@ def helstrom_measurement(ensemble: StateEnsemble, use_pt: bool = False) -> Povm:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for :func:`solve_optimal_value`.
+    """Knobs for :func:`solve_optimal_value`: the iteration budget, the
+    certified gap at which a run stops, and the seed of the commuting fast
+    path's random probes.
 
     The step schedule has no knobs of its own: it starts at ``2 / ||G||``
     and doubles after every accepted projection (see
-    :func:`solve_optimal_value`).  ``dykstra_max_sweeps`` and
-    ``dykstra_tol`` bound the projection for more than two outcomes; the
-    step stops growing once a projection uses over half the sweep budget,
-    and a projection that misses the tolerance within it is rejected and
-    halves the step.
+    :func:`solve_optimal_value`).
     """
 
     max_iters: int = 100_000
     gap_tol: float = 1e-6
-    dykstra_max_sweeps: int = 200
-    dykstra_tol: float = 1e-12
-    commuting_fast_path: bool = True
     fast_path_seed: int = 20250801
 
 
@@ -202,7 +193,7 @@ def _project_completeness(x: np.ndarray) -> np.ndarray:
     return x - resid[None, :, :] / n
 
 
-def _project_povm_set(x: np.ndarray, opts: SolverOptions) -> tuple[np.ndarray, int | None]:
+def _project_povm_set(x: np.ndarray) -> tuple[np.ndarray, int | None]:
     """Project a block tuple onto {M_i PSD, sum_i M_i = identity}.
 
     Returns the projection and the number of Dykstra sweeps it took, or None
@@ -210,8 +201,8 @@ def _project_povm_set(x: np.ndarray, opts: SolverOptions) -> tuple[np.ndarray, i
     sweeps); larger n runs Dykstra's alternating scheme between the PSD cone
     product and the completeness subspace (the affine set needs no
     correction term), which converges once a sweep moves the iterate by at
-    most ``dykstra_tol * (1 + ||x||)``, if it does so within
-    ``dykstra_max_sweeps``.
+    most ``_DYKSTRA_TOL * (1 + ||x||)``, if it does so within
+    ``_DYKSTRA_MAX_SWEEPS``.
     """
     n, d = x.shape[0], x.shape[-1]
     if n == 1:
@@ -224,13 +215,13 @@ def _project_povm_set(x: np.ndarray, opts: SolverOptions) -> tuple[np.ndarray, i
     scale = 1.0 + float(np.linalg.norm(x))
     cur = x
     correction = np.zeros_like(x)
-    for sweep in range(1, opts.dykstra_max_sweeps + 1):
+    for sweep in range(1, _DYKSTRA_MAX_SWEEPS + 1):
         clipped = _psd_clip(cur + correction)
         correction = cur + correction - clipped
         nxt = _project_completeness(clipped)
         delta = float(np.linalg.norm(nxt - cur))
         cur = nxt
-        if delta <= opts.dykstra_tol * scale:
+        if delta <= _DYKSTRA_TOL * scale:
             return cur, sweep
     return cur, None
 
@@ -342,7 +333,7 @@ def solve_optimal_value(
     dim / (8 S) and doubling reaches ``gap_tol`` in a few dozen steps.  For
     more states Dykstra's projection needs more sweeps the longer the step,
     so the step stops growing once a projection used over half of
-    ``dykstra_max_sweeps``; a projection that does not converge at all is
+    ``_DYKSTRA_MAX_SWEEPS``; a projection that does not converge at all is
     rejected, and the step is halved and no longer grows.  Dykstra results
     are repaired into exact POVMs before the gap is checked, so the reported
     bracket rests on a feasible measurement.
@@ -352,24 +343,26 @@ def solve_optimal_value(
     """
     opts = opts or SolverOptions()
     g = _objective_operators(ensemble, use_pt)
+    fast = _try_commuting_solve(g, opts)
+    if fast is None:
+        return _projected_ascent(g, ensemble.dims, opts)
+    value, blocks, z, gap, resid_min = fast
+    return OptimalityReport(
+        value=value,
+        povm=_wrap_povm(ensemble.dims, blocks),
+        dual_h=HermitianOperator(ensemble.dims, z),
+        gap=gap,
+        residual_min_eigs=resid_min,
+        converged=abs(gap) <= opts.gap_tol,
+        iterations=0,
+        method="commuting-eigenbasis",
+        value_history=np.array([[0.0, value, gap, 0.0]]),
+    )
+
+
+def _projected_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
+    """The iterative path of :func:`solve_optimal_value` on the stack ``g``."""
     n, d = g.shape[0], g.shape[-1]
-
-    if opts.commuting_fast_path:
-        fast = _try_commuting_solve(g, opts)
-        if fast is not None:
-            value, blocks, z, gap, resid_min = fast
-            return OptimalityReport(
-                value=value,
-                povm=_wrap_povm(ensemble.dims, blocks),
-                dual_h=HermitianOperator(ensemble.dims, z),
-                gap=gap,
-                residual_min_eigs=resid_min,
-                converged=abs(gap) <= opts.gap_tol,
-                iterations=0,
-                method="commuting-eigenbasis",
-                value_history=np.array([[0.0, value, gap, 0.0]]),
-            )
-
     g_norm = max(float(np.linalg.norm(g)), 1e-300)
     step = 2.0 / g_norm
     growing = True
@@ -381,7 +374,7 @@ def solve_optimal_value(
         history.append((iterations, value, lam * d, step))
         if lam * d <= opts.gap_tol or iterations >= opts.max_iters:
             break
-        nxt, sweeps = _project_povm_set(m + step * g, opts)
+        nxt, sweeps = _project_povm_set(m + step * g)
         iterations += 1
         if sweeps is None:
             step /= 2
@@ -393,7 +386,7 @@ def solve_optimal_value(
         # needed over half the budget would likely fail at twice the step.
         growing = (
             growing
-            and 2 * sweeps <= opts.dykstra_max_sweeps
+            and 2 * sweeps <= _DYKSTRA_MAX_SWEEPS
             and step * g_norm < _MAX_STEP_NORM
         )
         if growing:
@@ -403,8 +396,8 @@ def solve_optimal_value(
     gap = float(np.trace(h).real) - value
     return OptimalityReport(
         value=value,
-        povm=_wrap_povm(ensemble.dims, m),
-        dual_h=HermitianOperator(ensemble.dims, h),
+        povm=_wrap_povm(dims, m),
+        dual_h=HermitianOperator(dims, h),
         gap=gap,
         residual_min_eigs=resid_min,
         converged=gap <= opts.gap_tol,

@@ -13,6 +13,7 @@ from .operators import (
     HermitianOperator,
     _blocks,
     _kron,
+    is_psd,
     tensor,
 )
 
@@ -68,17 +69,11 @@ class ValidationReport:
         return [c for c in self.checks if not c.ok]
 
 
-def validate(
-    ensemble: StateEnsemble,
-    prob_tol: float = PROB_SUM_TOL,
-    trace_tol: float = STATE_TRACE_TOL,
-    psd_tol: float = STATE_PSD_TOL,
-    strict: bool = False,
-) -> ValidationReport:
+def validate(ensemble: StateEnsemble) -> ValidationReport:
     """Measure every ensemble invariant and report the residuals.
 
     Checks: probabilities in [0, 1] summing to one, each state unit-trace and
-    positive semidefinite.  With ``strict=True`` a failing report raises.
+    positive semidefinite.
     """
     checks = []
     etas = ensemble.probabilities
@@ -88,17 +83,13 @@ def validate(
         range_dev = float(max(np.maximum(-etas, 0.0).max(), np.maximum(etas - 1.0, 0.0).max()))
         checks.append(CheckResult("probabilities_in_unit_interval", range_dev, range_dev == 0.0))
         sum_dev = abs(float(etas.sum()) - 1.0)
-        checks.append(CheckResult("probability_sum", sum_dev, sum_dev <= prob_tol))
+        checks.append(CheckResult("probability_sum", sum_dev, sum_dev <= PROB_SUM_TOL))
         for i, (_, rho) in enumerate(ensemble.items):
             tr_dev = abs(rho.trace() - 1.0)
-            checks.append(CheckResult(f"state_{i}_trace", tr_dev, tr_dev <= trace_tol))
-            lmin = float(np.linalg.eigvalsh(rho.entries)[0])
-            checks.append(CheckResult(f"state_{i}_psd", lmin, lmin >= -psd_tol))
-    report = ValidationReport(tuple(checks))
-    if strict and not report.ok:
-        failed = ", ".join(f"{c.name} (residual {c.residual:.3e})" for c in report.failures())
-        raise ValueError(f"ensemble validation failed: {failed}")
-    return report
+            checks.append(CheckResult(f"state_{i}_trace", tr_dev, tr_dev <= STATE_TRACE_TOL))
+            ok, lmin = is_psd(rho, STATE_PSD_TOL)
+            checks.append(CheckResult(f"state_{i}_psd", lmin, ok))
+    return ValidationReport(tuple(checks))
 
 
 def fold(ensemble: StateEnsemble, copies: int, cap: int | None = None) -> StateEnsemble:
@@ -112,7 +103,10 @@ def fold(ensemble: StateEnsemble, copies: int, cap: int | None = None) -> StateE
     if copies == 1:
         return ensemble
     dims = _folded_dims(ensemble.dims, copies, cap)
-    return StateEnsemble(dims, tuple(_fold_items(ensemble.items, copies, cap)))
+    items = ensemble.items
+    for _ in range(copies - 1):
+        items = [(a * b, tensor(x, y, cap=cap)) for a, x in items for b, y in ensemble.items]
+    return StateEnsemble(dims, tuple(items))
 
 
 def coarse_grain(ensemble: StateEnsemble, copies: int, cap: int | None = None) -> StateEnsemble:
@@ -149,20 +143,6 @@ def coarse_grain(ensemble: StateEnsemble, copies: int, cap: int | None = None) -
     return StateEnsemble(dims, tuple(items))
 
 
-def _fold_items(items, copies: int, cap: int | None):
-    """The (eta, rho) items of the L-fold product, lexicographic in the index vector.
-
-    Each item extends the product of its (L-1)-prefix, in the same order of
-    multiplication as building it factor by factor from the first copy.
-    """
-    if copies == 1:
-        yield from items
-        return
-    for eta, rho in _fold_items(items, copies - 1, cap):
-        for eta_l, rho_l in items:
-            yield eta * eta_l, tensor(rho, rho_l, cap=cap)
-
-
 def _mod_sum_bins(factors, copies: int, product=operator.mul) -> list:
     """Sum of ``x_{c_1} * ... * x_{c_L}`` over the index vectors of each modulo-n sum.
 
@@ -193,13 +173,13 @@ def _tensor_bins(mats, dims: BipartiteDims, copies: int) -> list[np.ndarray]:
     return [b.reshape(side, side) for b in bins]
 
 
-def is_mutually_orthogonal(ensemble: StateEnsemble, tol: float = ORTHOGONALITY_TOL) -> bool:
-    """True iff Tr(rho_i rho_j) <= tol for every pair i != j."""
+def is_mutually_orthogonal(ensemble: StateEnsemble) -> bool:
+    """True iff Tr(rho_i rho_j) <= ``ORTHOGONALITY_TOL`` for every pair i != j."""
     states = [rho.entries for rho in ensemble.states]
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             overlap = float(np.einsum("ij,ji->", states[i], states[j]).real)
-            if overlap > tol:
+            if overlap > ORTHOGONALITY_TOL:
                 return False
     return True
 

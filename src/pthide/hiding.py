@@ -16,11 +16,13 @@ and direct encoding samples a bin exactly from the same convolution.
 
 Both simulators draw copy by copy: one uniform per copy and trial gives the
 copy's index, jointly with its outcome under a per-copy parity strategy, and
-a trial keeps only its running index sum and its outcome parity (or, for a
-global POVM, its row of the outcome table).  Memory is O(trials) whatever L,
-and no draw reduces modulo n.  Measured at 250,000 trials with parity on the
-Bell example (numpy 2.4.6, one thread, 2-core x86-64): 11-16 ns per copy and
-trial for broadcast, about 22 ns for direct encoding.
+a trial keeps only its running index sum and its outcome parity.  A global
+POVM's outcome is drawn once, after the copies, from the law of the trial's
+bin, the same table :func:`exact_strategy_success` reads; no n^L table of
+L-copy states is built.  Memory is O(trials) whatever L.  Measured at
+250,000 trials with parity on the Bell example (numpy 2.4.6, one thread,
+2-core x86-64): 11-16 ns per copy and trial for broadcast, about 22 ns for
+direct encoding.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 from .discrimination import Povm
 from .ensembles import (
     StateEnsemble,
-    _fold_items,
     _folded_dims,
     _mod_sum_bins,
     _tensor_bins,
@@ -42,6 +43,8 @@ from .ensembles import (
 from .operators import HermitianOperator
 
 RNG_NAME = "numpy-philox"
+#: Eigenvalues above this span the support of a coarse-grained state.
+_SUPPORT_TOL = 1e-10
 
 
 class PerCopyParityStrategy:
@@ -98,20 +101,9 @@ class GlobalPovmStrategy:
         if name:
             self.name = name
 
-    def outcome_table(self, ensemble: StateEnsemble, copies: int, cap: int | None = None):
-        """Born probabilities for every L-copy preparation, shape (n^L, outcomes).
-
-        Rows follow the lexicographic order of :func:`pthide.ensembles.fold`;
-        the L-copy states are streamed, so only one of them is held at a time.
-        """
-        if ensemble.dims.total**copies != self.povm.dims.total:
-            raise ValueError("POVM dims do not match the folded ensemble")
-        states = (rho.entries for _, rho in _fold_items(ensemble.items, copies, cap))
-        return _born_table(states, [m.entries for m in self.povm.elements])
-
 
 def orthogonal_support_strategy(
-    ensemble: StateEnsemble, copies: int, cap: int | None = None, support_tol: float = 1e-10
+    ensemble: StateEnsemble, copies: int, cap: int | None = None
 ) -> GlobalPovmStrategy:
     """Projective global measurement onto the supports of the coarse-grained
     states; succeeds with certainty on mutually orthogonal ensembles."""
@@ -122,7 +114,7 @@ def orthogonal_support_strategy(
     blocks = []
     for _, rho in coarse.items:
         w, v = np.linalg.eigh(rho.entries)
-        keep = v[:, w > support_tol]
+        keep = v[:, w > _SUPPORT_TOL]
         p = keep @ keep.conj().T
         blocks.append((p + p.conj().T) / 2)
     # route the orthogonal remainder (if any) to outcome 0
@@ -202,16 +194,21 @@ def _sample_rows(rng, table, rows: np.ndarray) -> np.ndarray:
 
 
 def _finish(success_mask, cfg, scheme, reference) -> SimResult:
+    """Estimate, its Wald standard error, and its z-score against the reference.
+
+    z uses the reference's own binomial spread p(1 - p)/T, which stays
+    finite when every trial succeeds (or fails).  A reference of exactly 0
+    or 1 has no spread: z is 0 if the estimate equals it and +-inf otherwise,
+    which can only mean a sampler bug.
+    """
     p_hat = float(success_mask.mean())
     stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / cfg.trials))
     if reference is None:
         z = None
-    elif abs(p_hat - reference) <= 1e-12:
-        # equal to rounding: an estimate with no spread (all trials right or
-        # all wrong) would otherwise divide by the 1e-300 floor
-        z = 0.0
+    elif reference in (0.0, 1.0):
+        z = 0.0 if p_hat == reference else float(np.copysign(np.inf, p_hat - reference))
     else:
-        z = float((p_hat - reference) / stderr)
+        z = float((p_hat - reference) / np.sqrt(reference * (1.0 - reference) / cfg.trials))
     return SimResult(
         empirical_success=p_hat,
         stderr=stderr,
@@ -233,9 +230,10 @@ def _draw_guesses(cfg: ProtocolConfig, rng, laws, state: np.ndarray, cap=None) -
     (trials,) integer vector to which each drawn c is added in place.  Under
     parity, c and the copy's outcome o are drawn together, with one uniform,
     from the 2n categories 2c + o of law(c) * P(o | c), and only the outcome
-    parity is kept; under a global POVM, the indices build the row of the
-    outcome table, first copy most significant, and the outcome is drawn from
-    it.  No (trials, copies) array is built.
+    parity is kept; under a global POVM, whose outcome depends on the copies
+    only through the bin of their modulo-n sum, the outcome is drawn from
+    that bin's row of :func:`_coarse_table`.  No (trials, copies) array and
+    no n^L table is built.
     """
     ensemble = cfg.ensemble
     strategy = cfg.strategy
@@ -249,14 +247,11 @@ def _draw_guesses(cfg: ProtocolConfig, rng, laws, state: np.ndarray, cap=None) -
             parity ^= k & 1
         return parity
     if isinstance(strategy, GlobalPovmStrategy):
-        table = strategy.outcome_table(ensemble, cfg.copies, cap=cap)
-        flat = np.zeros_like(state)
+        _, table, guesses = _coarse_table(ensemble, cfg.copies, strategy, cap)
+        start = state.copy()
         for law in laws:
-            c = _sample_rows(rng, law, state)
-            state += c
-            flat *= ensemble.n
-            flat += c
-        return strategy.guesses[_sample_rows(rng, table, flat)]
+            state += _sample_rows(rng, law, state)
+        return guesses[_sample_rows(rng, table, (state - start) % ensemble.n)]
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
@@ -276,8 +271,8 @@ def simulate_broadcast_scheme(
 
     Copies are drawn one at a time, each index (jointly with its outcome
     under parity) from one uniform, and only the running index sum and the
-    outcome parity or row are kept: memory is O(trials) whatever L, and a
-    copy costs 11-16 ns per trial under parity (see the module notes).
+    outcome parity are kept: memory is O(trials) whatever L, and a copy
+    costs 11-16 ns per trial under parity (see the module notes).
     """
     n = cfg.ensemble.n
     rng = np.random.Generator(np.random.Philox(cfg.seed))

@@ -95,26 +95,24 @@ class HidingConditionResult:
 
 
 def hiding_condition(
-    ensemble: StateEnsemble,
-    gap_tol: float = 1e-6,
-    orth_tol: float = 1e-10,
-    opts: SolverOptions | None = None,
+    ensemble: StateEnsemble, opts: SolverOptions | None = None
 ) -> HidingConditionResult:
     """Check the sufficiency condition for hiding an n-ary symbol.
 
     Requires the states to be mutually orthogonal (globally perfectly
     distinguishable) and the partial-transpose value to sit strictly below
-    2/n (compared with a convergence margin).  Two-state ensembles use the
-    closed form; larger ones run the optimizer and take the upper end of its
-    certified bracket.
+    2/n, with the solver's ``gap_tol`` as margin.  Two-state ensembles use
+    the closed form; larger ones run the optimizer and take the upper end of
+    its certified bracket.
     """
     n = ensemble.n
-    orthogonal = is_mutually_orthogonal(ensemble, tol=orth_tol)
-    qg, converged = _pt_upper_value(ensemble, opts or SolverOptions(gap_tol=gap_tol))
+    opts = opts or SolverOptions()
+    orthogonal = is_mutually_orthogonal(ensemble)
+    qg, converged = _pt_upper_value(ensemble, opts)
     if not converged:
         passes = None
     else:
-        passes = bool(orthogonal and (qg + gap_tol < 2.0 / n))
+        passes = bool(orthogonal and (qg + opts.gap_tol < 2.0 / n))
     return HidingConditionResult(orthogonal, qg, passes, converged, n)
 
 

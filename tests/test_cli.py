@@ -126,6 +126,22 @@ def test_example2_subcommand(capsys):
     assert payload["meets_threshold"]
 
 
+def test_example2_conflicting_mode_flags_exit_2(capsys):
+    code, out, err = run(
+        capsys, "example2", "--m", "1", "--n", "2", "--d", "3", "--explicit", "--formulas-only"
+    )
+    assert code == 2
+    assert out == ""
+    assert "not allowed with" in err
+
+
+def test_seed_and_cap_only_where_used(capsys):
+    # --seed exists only on hide-sim, and fig3, which builds no matrix, has no --cap
+    assert main(["validate", "--ensemble", "bell-example1", "--seed", "3"]) == 2
+    assert main(["fig3", "--params", "2,3,6", "--lmax", "3", "--cap", "64"]) == 2
+    capsys.readouterr()
+
+
 def test_example2_invalid_params_exit_2(capsys):
     code, _, err = run(capsys, "example2", "--m", "1", "--n", "3", "--d", "3")
     assert code == 2

@@ -26,7 +26,6 @@ from pthide.constructions import (
     flip_operator,
     random_npt_state,
     werner_d_threshold,
-    werner_projectors,
     werner_state,
 )
 
@@ -51,23 +50,15 @@ def test_flip_operator_trace_and_pt_spectrum():
         assert np.abs(eigs[1:]).max() < 1e-10
 
 
-def test_werner_projectors_properties():
-    p0, p1 = werner_projectors(2)
-    phi_plus = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
-    assert np.allclose(p0.entries, np.outer(phi_plus, phi_plus))
-    p0, p1 = werner_projectors(6)
-    assert np.abs(p0.entries @ p0.entries - p0.entries).max() < 1e-12
-    assert np.abs(p1.entries @ p1.entries - p1.entries).max() < 1e-12
-    assert np.abs(p0.entries @ p1.entries).max() < 1e-12
-    assert abs(p0.trace() - 1.0) < 1e-12
-
-
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_flip_pt_reconstruction(d):
     # (identity + F)^PT == (1+d) P0 + P1 ; (identity - F)^PT == (1-d) P0 + P1
     f = flip_operator(d)
     ident = identity(f.dims)
-    p0, p1 = werner_projectors(d)
+    # P0 = |Phi+><Phi+| with Phi+ = sum_i |ii> / sqrt(d), P1 its complement
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    p0 = HermitianOperator(f.dims, np.outer(phi, phi))
+    p1 = identity(f.dims) - p0
     plus_pt = partial_transpose(ident + f)
     minus_pt = partial_transpose(ident - f)
     assert np.abs(plus_pt.entries - ((1 + d) * p0.entries + p1.entries)).max() < 1e-12

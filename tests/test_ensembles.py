@@ -41,8 +41,6 @@ def test_validate_flags_bad_probability_sum():
     report = validate(e)
     assert not report.ok
     assert any(c.name == "probability_sum" for c in report.failures())
-    with pytest.raises(ValueError, match="probability_sum"):
-        validate(e, strict=True)
 
 
 def test_validate_flags_bad_trace_and_non_psd():

@@ -301,7 +301,14 @@ def _enumerated_success(ensemble, copies, strategy, scheme):
                 probs = np.multiply.outer(probs, table[cl]).reshape(-1)
             total += w * probs[parities == target].sum()
         return float(total)
-    table = strategy.outcome_table(ensemble, copies)
+    table = np.empty((len(vectors), strategy.povm.n_outcomes))
+    for i, vec in enumerate(vectors):
+        rho = ensemble.items[vec[0]][1]
+        for cl in vec[1:]:
+            rho = tensor(rho, ensemble.items[cl][1])
+        for o, m in enumerate(strategy.povm.elements):
+            table[i, o] = max(complex(np.einsum("ij,ji->", m.entries, rho.entries)).real, 0.0)
+    table /= table.sum(axis=1)[:, None]
     correct = strategy.guesses[None, :] == sums[:, None]
     return float((weights[:, None] * table * correct).sum())
 
@@ -369,26 +376,6 @@ def test_level_povm_matches_pattern_loop():
         strat.level_povm(0)
 
 
-def test_global_outcome_table_equals_state_list_exactly():
-    # oracle: list every L-copy state, then fill the Born table entry by entry
-    rng = np.random.default_rng(73)
-    e = random_ensemble(rng, 3)
-    povm = random_povm(rng, BipartiteDims(4, 4), 3)
-    states = []
-    for c in product(range(e.n), repeat=2):
-        rho = e.items[c[0]][1]
-        for cl in c[1:]:
-            rho = tensor(rho, e.items[cl][1])
-        states.append(rho.entries)
-    expected = np.empty((len(states), povm.n_outcomes))
-    for i, rho in enumerate(states):
-        for o, m in enumerate(povm.elements):
-            expected[i, o] = max(complex(np.einsum("ij,ji->", m.entries, rho)).real, 0.0)
-    expected /= expected.sum(axis=1)[:, None]
-    got = GlobalPovmStrategy(povm, [0, 1, 2]).outcome_table(e, 2)
-    assert np.array_equal(got, expected)
-
-
 def test_z_score_for_a_certain_strategy(bell_ensemble):
     # every trial succeeds: the estimate has no spread and equals the
     # reference, so z is 0 and the reference stays a probability
@@ -407,6 +394,71 @@ def test_z_score_for_a_certain_strategy(bell_ensemble):
             assert res.empirical_success == 1.0
             assert res.analytic_reference <= 1.0
             assert abs(res.z_score) <= 5.0
+
+
+def test_z_score_when_every_trial_succeeds(bell_ensemble):
+    # z comes from the reference's own spread: all 100,000 trials right
+    # against 1 - 1e-9 (1e-4 expected failures) is entirely consistent
+    strat = orthogonal_support_strategy(bell_ensemble, 2)
+    cfg = ProtocolConfig(
+        ensemble=bell_ensemble, copies=2, trials=TRIALS, seed=11, strategy=strat
+    )
+    res = simulate_broadcast_scheme(cfg, analytic_reference=1.0 - 1e-9)
+    assert res.empirical_success == 1.0
+    assert abs(res.z_score) <= 0.1
+    assert res.stderr == np.sqrt(1e-300 / TRIALS)  # the Wald error, as reported before
+    # a reference of exactly 0 or 1 has no spread: equal is 0, anything else
+    # is an infinite z, the signal of a sampler bug
+    assert simulate_broadcast_scheme(cfg, analytic_reference=1.0).z_score == 0.0
+    assert simulate_broadcast_scheme(cfg, analytic_reference=0.0).z_score == np.inf
+    chance = ProtocolConfig(
+        ensemble=bell_ensemble, copies=2, trials=1000, seed=11, strategy=strat
+    )
+    res = simulate_broadcast_scheme(chance, withhold_broadcast=True, analytic_reference=1.0)
+    assert res.z_score == -np.inf
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    etas=st.integers(2, 3).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.just(0.0), st.floats(0.01, 1.0)), min_size=n, max_size=n
+        ).filter(lambda w: sum(w) > 0.0)
+    ),
+    copies=st.integers(1, 2),
+    outcomes=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coarse_table_is_the_bin_average_of_born_rows(etas, copies, outcomes, seed):
+    # the global-POVM law a simulation draws from: P(outcome | bin) is the
+    # eta-weighted average of the Born rows of the L-copy states in the bin
+    from pthide.hiding import _coarse_table
+
+    rng = np.random.default_rng(seed)
+    etas = np.array(etas) / sum(etas)
+    n = etas.size
+    e = StateEnsemble(D22, tuple((eta, random_state(D22, rng)) for eta in etas))
+    dims = BipartiteDims(2**copies, 2**copies)
+    strat = GlobalPovmStrategy(random_povm(rng, dims, outcomes), rng.integers(0, n, outcomes))
+    bin_eta, table, guesses = _coarse_table(e, copies, strat, None)
+    assert table.shape == (n, outcomes)
+    assert np.array_equal(guesses, strat.guesses)
+    total = np.zeros((n, outcomes))
+    weight = np.zeros(n)
+    for vec in product(range(n), repeat=copies):
+        rho = e.items[vec[0]][1]
+        for c in vec[1:]:
+            rho = tensor(rho, e.items[c][1])
+        w = np.prod(etas[list(vec)])
+        row = [np.einsum("ij,ji->", m.entries, rho.entries).real for m in strat.povm.elements]
+        total[sum(vec) % n] += w * np.array(row)
+        weight[sum(vec) % n] += w
+    for b in range(n):
+        if weight[b] > 0.0:
+            assert np.abs(table[b] - total[b] / weight[b]).max() <= 1e-12
+        else:
+            assert bin_eta[b] == 0.0
+            assert np.all(table[b] == 0.0)
 
 
 def test_simulation_memory_does_not_grow_with_copies(bell_ensemble, correlation_parity):
