@@ -157,6 +157,12 @@ class SolverOptions:
     gap_tol: float = 1e-6
     fast_path_seed: int = 20250801
 
+    def __post_init__(self):
+        if not (np.isfinite(self.gap_tol) and self.gap_tol >= 0):
+            raise ValueError(f"gap_tol must be finite and >= 0, got {self.gap_tol}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+
 
 @dataclass(frozen=True)
 class OptimalityReport:
@@ -197,21 +203,17 @@ def _project_povm_set(x: np.ndarray) -> tuple[np.ndarray, int | None]:
     """Project a block tuple onto {M_i PSD, sum_i M_i = identity}.
 
     Returns the projection and the number of Dykstra sweeps it took, or None
-    if it did not converge.  n = 1 and n = 2 admit exact projections (0
-    sweeps); larger n runs Dykstra's alternating scheme between the PSD cone
-    product and the completeness subspace (the affine set needs no
-    correction term), which converges once a sweep moves the iterate by at
-    most ``_DYKSTRA_TOL * (1 + ||x||)``, if it does so within
+    if it did not converge.  n = 1 admits the exact projection (0 sweeps).
+    Two states never come here: :func:`_two_state_ascent` solves them in the
+    eigenbasis of G0 - G1.  Dykstra's alternating scheme, between the PSD
+    cone product and the completeness subspace (the affine set needs no
+    correction term), serves n > 2 only; it converges once a sweep moves the
+    iterate by at most ``_DYKSTRA_TOL * (1 + ||x||)``, if it does so within
     ``_DYKSTRA_MAX_SWEEPS``.
     """
     n, d = x.shape[0], x.shape[-1]
     if n == 1:
         return np.eye(d, dtype=x.dtype)[None, :, :].copy(), 0
-    if n == 2:
-        # minimize ||M0 - X0||^2 + ||(I - M0) - X1||^2 over 0 <= M0 <= I
-        mid = (x[0] + np.eye(d, dtype=x.dtype) - x[1]) / 2
-        m0 = _eig_apply(mid, lambda w: np.clip(w, 0.0, 1.0))
-        return np.stack([m0, np.eye(d, dtype=x.dtype) - m0]), 0
     scale = 1.0 + float(np.linalg.norm(x))
     cur = x
     correction = np.zeros_like(x)
@@ -246,7 +248,7 @@ def _dual_lift(g: np.ndarray, m: np.ndarray):
     Z is the Hermitized weighted operator sum; shifting by the worst
     violation ``lam`` makes ``Z + lam * I`` dominate every G_i.
     """
-    z_raw = np.einsum("nij,njk->ik", g, m)
+    z_raw = (g @ m).sum(axis=0)
     value = float(np.trace(z_raw).real)
     z = (z_raw + z_raw.conj().T) / 2
     resid_eigs = np.linalg.eigvalsh(z[None, :, :] - g)
@@ -330,9 +332,11 @@ def solve_optimal_value(
     step never lowers it, whatever its length.  For two states every iterate
     is a function of D = G0 - G1, namely M0 = clip(1/2 + S D / 2, 0, 1) with
     S the sum of the steps so far, so the certified gap is at most
-    dim / (8 S) and doubling reaches ``gap_tol`` in a few dozen steps.  For
-    more states Dykstra's projection needs more sweeps the longer the step,
-    so the step stops growing once a projection used over half of
+    dim / (8 S) and doubling reaches ``gap_tol`` in a few dozen steps.  Two
+    states are therefore solved in D's eigenbasis, with one ``eigh`` per
+    solve (see :func:`_two_state_ascent`).  For more states the projection
+    is Dykstra's, which needs more sweeps the longer the step, so the step
+    stops growing once a projection used over half of
     ``_DYKSTRA_MAX_SWEEPS``; a projection that does not converge at all is
     rejected, and the step is halved and no longer grows.  Dykstra results
     are repaired into exact POVMs before the gap is checked, so the reported
@@ -363,14 +367,17 @@ def solve_optimal_value(
 def _projected_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
     """The iterative path of :func:`solve_optimal_value` on the stack ``g``."""
     n, d = g.shape[0], g.shape[-1]
+    if n == 2:
+        return _two_state_ascent(g, dims, opts)
     g_norm = max(float(np.linalg.norm(g)), 1e-300)
     step = 2.0 / g_norm
     growing = True
     m = np.broadcast_to(np.eye(d, dtype=g.dtype) / n, g.shape).copy()
-    value, z, resid_min, lam = _dual_lift(g, m)
+    lifted = _dual_lift(g, m)
     history = []
     iterations = 0
     while True:
+        value, _, _, lam = lifted
         history.append((iterations, value, lam * d, step))
         if lam * d <= opts.gap_tol or iterations >= opts.max_iters:
             break
@@ -380,8 +387,8 @@ def _projected_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
             step /= 2
             growing = False
             continue
-        m = nxt if n <= 2 else _repair_povm(nxt)
-        value, z, resid_min, lam = _dual_lift(g, m)
+        m = nxt if n == 1 else _repair_povm(nxt)
+        lifted = _dual_lift(g, m)
         # Dykstra's sweep count climbs with the step, so a projection that
         # needed over half the budget would likely fail at twice the step.
         growing = (
@@ -391,8 +398,61 @@ def _projected_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
         )
         if growing:
             step *= 2
+    return _ascent_report(dims, m, lifted, iterations, history, opts)
 
-    h = z + lam * np.eye(d, dtype=z.dtype)
+
+def _two_state_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
+    """:func:`_projected_ascent` for two states, in the eigenbasis of D.
+
+    With D = G0 - G1 = v diag(w) v^dagger, the iterate after steps summing to
+    S is M0 = v diag(f) v^dagger, f = clip(1/2 + S w / 2, 0, 1), and
+    M1 = I - M0.  In that basis Z = G1 + D M0, so the value is Tr G1 + w . f,
+    and the residuals Z - G0 = -D (I - M0) and Z - G1 = D M0 are diagonal
+    with entries -w (1 - f) and w f.  The step schedule and the stopping test
+    are those of the general loop, run on these eigenvalues.  The iterate at
+    which they stop is built as matrices, and its value, residuals, dual and
+    gap come from :func:`_dual_lift`.  If rounding leaves that gap above
+    ``gap_tol``, the loop goes on and checks every further iterate the same
+    way, so the reported bracket never rests on the eigenvalue model.
+    """
+    d = g.shape[-1]
+    g_norm = max(float(np.linalg.norm(g)), 1e-300)
+    step = 2.0 / g_norm
+    w, v = np.linalg.eigh(g[0] - g[1])
+    tr_g1 = float(np.trace(g[1]).real)
+    total = 0.0
+    exact = False
+    history = []
+    iterations = 0
+    while True:
+        f = (0.5 + total / 2 * w).clip(0.0, 1.0)
+        if exact:
+            m0 = (v * f) @ v.conj().T
+            m0 = (m0 + m0.conj().T) / 2
+            m = np.stack([m0, np.eye(d, dtype=m0.dtype) - m0])
+            lifted = _dual_lift(g, m)
+            value, _, _, lam = lifted
+        else:
+            wf = w * f
+            value = tr_g1 + float(wf.sum())
+            lam = max(0.0, float((w - wf).max()), float(-wf.min()))
+        done = lam * d <= opts.gap_tol or iterations >= opts.max_iters
+        if done and not exact:
+            exact = True  # check this iterate against its matrices
+            continue
+        history.append((iterations, value, lam * d, step))
+        if done:
+            break
+        total += step
+        iterations += 1
+        if step * g_norm < _MAX_STEP_NORM:
+            step *= 2
+    return _ascent_report(dims, m, lifted, iterations, history, opts)
+
+
+def _ascent_report(dims, m, lifted, iterations, history, opts) -> OptimalityReport:
+    value, z, resid_min, lam = lifted
+    h = z + lam * np.eye(z.shape[-1], dtype=z.dtype)
     gap = float(np.trace(h).real) - value
     return OptimalityReport(
         value=value,

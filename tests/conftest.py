@@ -13,19 +13,23 @@ def random_hermitian(dims: BipartiteDims, rng, complex_entries=True) -> Hermitia
     return HermitianOperator(dims, (z + z.conj().T) / 2)
 
 
-def random_state(dims: BipartiteDims, rng) -> HermitianOperator:
+def random_state(dims: BipartiteDims, rng, complex_entries=True, rank=None) -> HermitianOperator:
     d = dims.total
-    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    shape = (d, d if rank is None else rank)
+    z = rng.standard_normal(shape)
+    if complex_entries:
+        z = z + 1j * rng.standard_normal(shape)
     rho = z @ z.conj().T
     rho /= np.trace(rho).real
     return HermitianOperator(dims, (rho + rho.conj().T) / 2)
 
 
-def random_two_state_ensemble(rng, dims=BipartiteDims(2, 2)) -> StateEnsemble:
+def random_two_state_ensemble(
+    rng, dims=BipartiteDims(2, 2), complex_entries=True
+) -> StateEnsemble:
     eta0 = rng.uniform(0.1, 0.9)
-    return StateEnsemble(
-        dims, ((eta0, random_state(dims, rng)), (1.0 - eta0, random_state(dims, rng)))
-    )
+    states = [random_state(dims, rng, complex_entries) for _ in range(2)]
+    return StateEnsemble(dims, ((eta0, states[0]), (1.0 - eta0, states[1])))
 
 
 def random_ensemble(rng, n, dims=BipartiteDims(2, 2)) -> StateEnsemble:

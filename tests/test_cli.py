@@ -88,6 +88,16 @@ def test_nonconvergence_exits_3(tmp_path, capsys):
     assert not json.loads(out)["converged"]
 
 
+@pytest.mark.parametrize(
+    "option,name",
+    [("--gap-tol=nan", "gap_tol"), ("--gap-tol=-1e-6", "gap_tol"), ("--max-iters=-5", "max_iters")],
+)
+def test_bad_solver_options_exit_2(capsys, option, name):
+    code, out, err = run(capsys, "qg", "--ensemble", "bell-example1", option)
+    assert code == 2
+    assert out == "" and f"error: {name}" in err
+
+
 def test_certify_subcommand(tmp_path, capsys):
     povm = helstrom_measurement(example1(bell_state()), use_pt=True)
     path = tmp_path / "povm.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pthide import (
     BipartiteDims,
@@ -22,7 +24,9 @@ from pthide import (
     validate_povm,
 )
 from pthide.constructions import bell_state, example1, example2
-from pthide.discrimination import _objective_operators, _projected_ascent
+from pthide.discrimination import _MAX_STEP_NORM, _dual_lift, _objective_operators
+from pthide.discrimination import _projected_ascent
+from pthide.operators import _eig_apply
 
 from conftest import random_ensemble, random_povm, random_state, random_two_state_ensemble
 
@@ -183,6 +187,134 @@ def test_geometric_schedule_converges_in_tens_of_iterations():
             assert 0 < rep.iterations <= 40
             closed = qg_level_two_state(e, ell)
             assert rep.value - 1e-9 <= closed <= rep.value + rep.gap + 1e-9
+
+
+def _clip_ascent_oracle(g, opts):
+    """The two-state loop on matrices: every step projects M + step * G onto
+    the POVM set by the n = 2 clip, and lifts the dual from the iterate."""
+    d = g.shape[-1]
+    eye = np.eye(d, dtype=g.dtype)
+    g_norm = max(float(np.linalg.norm(g)), 1e-300)
+    step = 2.0 / g_norm
+    m = np.stack([eye / 2, eye / 2])
+    value, z, _, lam = _dual_lift(g, m)
+    history, iterations = [], 0
+    while True:
+        history.append((iterations, value, lam * d, step))
+        if lam * d <= opts.gap_tol or iterations >= opts.max_iters:
+            break
+        x = m + step * g
+        # minimize ||M0 - X0||^2 + ||(I - M0) - X1||^2 over 0 <= M0 <= I
+        m0 = _eig_apply((x[0] + eye - x[1]) / 2, lambda w: np.clip(w, 0.0, 1.0))
+        m = np.stack([m0, eye - m0])
+        iterations += 1
+        value, z, _, lam = _dual_lift(g, m)
+        if step * g_norm < _MAX_STEP_NORM:
+            step *= 2
+    gap = float(np.trace(z).real) + lam * d - value
+    return iterations, np.array(history), value, gap
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_two_state_eigenbasis_path_matches_clip_oracle(complex_entries):
+    rng = np.random.default_rng([17, complex_entries])
+    cases = [(ell, SolverOptions(gap_tol=1e-7)) for ell in (1, 2, 3)]
+    cut = SolverOptions(gap_tol=1e-10, max_iters=2)
+    cases.append((2, cut))
+    for _ in range(3):
+        e = random_two_state_ensemble(rng, complex_entries=complex_entries)
+        for ell, opts in cases:
+            ce = coarse_grain(e, ell)
+            rep = solve_optimal_value(ce, use_pt=True, opts=opts)
+            assert rep.method == "projected-ascent"
+            iterations, history, value, gap = _clip_ascent_oracle(
+                _objective_operators(ce, use_pt=True), opts
+            )
+            assert rep.iterations == iterations
+            assert rep.value_history.shape == history.shape
+            assert np.abs(rep.value_history - history).max() <= 1e-12
+            assert abs(rep.value - value) <= 1e-12 and abs(rep.gap - gap) <= 1e-12
+            assert rep.converged == (opts is not cut)
+            closed = qg_level_two_state(e, ell)
+            assert rep.value - 1e-9 <= closed <= rep.value + rep.gap + 1e-9
+            assert dual_bound(ce, rep.dual_h).feasible
+
+
+def test_two_state_gap_missed_by_rounding_is_checked_on_matrices():
+    # at gap_tol=0 the eigenvalue model stops once every eigenvalue clips, but
+    # the gap of the actual matrices is rounding above 0: every further
+    # iterate is lifted from its matrices and the budget runs out, unconverged
+    base = random_two_state_ensemble(np.random.default_rng(19))
+    e = coarse_grain(base, 2)
+    rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=0.0, max_iters=30))
+    assert rep.iterations == 30 and not rep.converged
+    iters, values, gaps, _ = rep.value_history.T
+    assert np.array_equal(iters, np.arange(31))
+    assert 0.0 < gaps[-1] <= 1e-12 and abs(gaps[-1] - rep.gap) <= 1e-12
+    closed = qg_level_two_state(base, 2)
+    assert rep.value - 1e-9 <= closed <= rep.value + rep.gap + 1e-9
+    assert dual_bound(e, rep.dual_h).feasible
+
+
+def test_two_state_solve_spectral_calls_do_not_grow_with_iterations(monkeypatch):
+    # D = G0 - G1 has small eigenvalues here, so the tighter gap costs 16 more
+    # iterations (13 -> 29); on most instances every eigenvalue clips early
+    e = coarse_grain(random_two_state_ensemble(np.random.default_rng(23)), 3)
+    calls = {"eigh": 0, "eigvalsh": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    counts, iterations = [], []
+    for gap_tol in (1e-4, 1e-10):
+        calls.update(eigh=0, eigvalsh=0)
+        rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=gap_tol))
+        assert rep.method == "projected-ascent" and rep.converged
+        counts.append(dict(calls))
+        iterations.append(rep.iterations)
+    assert iterations[1] >= iterations[0] + 10
+    assert counts[0] == counts[1]
+    assert counts[0]["eigh"] + counts[0]["eigvalsh"] < iterations[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dims=st.sampled_from([BipartiteDims(2, 2), BipartiteDims(2, 3)]),
+    complex_entries=st.booleans(),
+    copies=st.integers(1, 2),
+    eta0=st.floats(0.05, 0.95),
+    ranks=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_two_state_bracket_holds_the_closed_form(
+    dims, complex_entries, copies, eta0, ranks, seed
+):
+    # value <= closed form <= value + gap, on a valid POVM and a checked dual
+    rng = np.random.default_rng(seed)
+    rho0, rho1 = (
+        random_state(dims, rng, complex_entries, rank=min(r, dims.total)) for r in ranks
+    )
+    e = StateEnsemble(dims, ((eta0, rho0), (1.0 - eta0, rho1)))
+    ce = coarse_grain(e, copies)
+    rep = solve_optimal_value(ce, use_pt=True)
+    closed = qg_level_two_state(e, copies)
+    assert rep.value - 1e-9 <= closed <= rep.value + rep.gap + 1e-9
+    assert all(ok for _, _, ok in validate_povm(rep.povm))
+    out = dual_bound(ce, rep.dual_h)
+    assert out.feasible
+    assert abs(out.bound - (rep.value + rep.gap)) <= 1e-9
+
+
+def test_solver_options_reject_bad_values():
+    for bad in (float("nan"), float("inf"), -1e-9):
+        with pytest.raises(ValueError, match="gap_tol"):
+            SolverOptions(gap_tol=bad)
+    with pytest.raises(ValueError, match="max_iters"):
+        SolverOptions(max_iters=-5)
+    assert SolverOptions(gap_tol=0.0, max_iters=0).max_iters == 0
 
 
 def test_sandwich_any_povm_below_certified_value():
