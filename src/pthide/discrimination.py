@@ -413,7 +413,10 @@ def _two_state_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
     which they stop is built as matrices, and its value, residuals, dual and
     gap come from :func:`_dual_lift`.  If rounding leaves that gap above
     ``gap_tol``, the loop goes on and checks every further iterate the same
-    way, so the reported bracket never rests on the eigenvalue model.
+    way, so the reported bracket never rests on the eigenvalue model.  An
+    iterate with the same f as the last one checked is the same matrix, so
+    the run stops there, unconverged: with ``gap_tol`` below the rounding
+    floor it would otherwise lift one matrix until ``max_iters``.
     """
     d = g.shape[-1]
     g_norm = max(float(np.linalg.norm(g)), 1e-300)
@@ -422,21 +425,28 @@ def _two_state_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
     tr_g1 = float(np.trace(g[1]).real)
     total = 0.0
     exact = False
+    stalled = False
+    checked = None
     history = []
     iterations = 0
     while True:
         f = (0.5 + total / 2 * w).clip(0.0, 1.0)
         if exact:
-            m0 = (v * f) @ v.conj().T
-            m0 = (m0 + m0.conj().T) / 2
-            m = np.stack([m0, np.eye(d, dtype=m0.dtype) - m0])
-            lifted = _dual_lift(g, m)
-            value, _, _, lam = lifted
+            # once every eigenvalue has clipped, f and so the iterate stay
+            # fixed: its gap cannot fall any further, so the run stops
+            stalled = np.array_equal(f, checked)
+            if not stalled:
+                m0 = (v * f) @ v.conj().T
+                m0 = (m0 + m0.conj().T) / 2
+                m = np.stack([m0, np.eye(d, dtype=m0.dtype) - m0])
+                lifted = _dual_lift(g, m)
+                value, _, _, lam = lifted
+                checked = f
         else:
             wf = w * f
             value = tr_g1 + float(wf.sum())
             lam = max(0.0, float((w - wf).max()), float(-wf.min()))
-        done = lam * d <= opts.gap_tol or iterations >= opts.max_iters
+        done = stalled or lam * d <= opts.gap_tol or iterations >= opts.max_iters
         if done and not exact:
             exact = True  # check this iterate against its matrices
             continue
@@ -517,11 +527,37 @@ def dual_bound(
     bounds the partial-transpose objective (to within tol times the
     dimension).  An infeasible H yields a rejection naming each violating
     state index with its minimum eigenvalue, not an exception.
+
+    Feasibility is certified by Cholesky, with no spectrum.  Each
+    X_i = H - eta_i rho_i^PT has its diagonal shifted in place by
+    ``tol - delta``, with delta = 2 D eps (1 + max_i ||X_i||_F), which covers
+    the backward error of the factorisation; if every shifted slice
+    factorises, lambda_min(X_i) >= -tol holds for every i and ``Tr H`` is
+    returned.  If one does not, the unshifted X is rebuilt and ``eigvalsh``
+    names the violations, so a verdict can differ from the spectral test
+    only within delta of the boundary.  The slices are factored one at a
+    time: a batched factorisation of ``X + shift * I`` needs a second copy
+    of the stack.  Two slices at D=1024, medians of 5 (numpy 2.4.6, one
+    BLAS thread, 2-core x86-64): 0.30 s with ``eigvalsh``, 0.10 s with
+    Cholesky; the whole check, partial transposes included, 0.19 s (0.36 s
+    with ``eigvalsh``).
     """
     if h.dims != ensemble.dims:
         raise ValueError("operator and ensemble dimensions differ")
     g = _objective_operators(ensemble, use_pt=True)
-    mins = np.linalg.eigvalsh(h.entries[None, :, :].astype(g.dtype) - g)[:, 0]
+    x = h.entries.astype(g.dtype, copy=False) - g
+    d = x.shape[-1]
+    delta = 2 * d * np.finfo(float).eps * (1.0 + max(float(np.linalg.norm(xi)) for xi in x))
+    for xi in x:
+        xi.flat[:: d + 1] += tol - delta
+        try:
+            np.linalg.cholesky(xi)
+        except np.linalg.LinAlgError:
+            break
+    else:
+        return DualBoundResult(True, h.trace(), ())
+    del x
+    mins = np.linalg.eigvalsh(h.entries.astype(g.dtype, copy=False) - g)[:, 0]
     violations = tuple((int(i), float(mins[i])) for i in np.nonzero(mins < -tol)[0])
     if violations:
         return DualBoundResult(False, None, violations)

@@ -129,18 +129,25 @@ def coarse_grain(ensemble: StateEnsemble, copies: int, cap: int | None = None) -
     if copies == 1:
         return ensemble
     dims = _folded_dims(ensemble.dims, copies, cap)
-    bin_eta = _mod_sum_bins([eta for eta, _ in ensemble.items], copies)
-    for i, eta in enumerate(bin_eta):
-        if eta <= 0.0:
-            raise ValueError(
-                f"coarse bin {i} has zero probability; the normalized bin state is undefined"
-            )
+    bin_eta = _nonempty_bins(ensemble, copies)
     weighted = [eta * rho.entries for eta, rho in ensemble.items]
     items = []
     for eta, acc in zip(bin_eta, _tensor_bins(weighted, ensemble.dims, copies)):
         acc /= eta
         items.append((eta, HermitianOperator(dims, acc)))
     return StateEnsemble(dims, tuple(items))
+
+
+def _nonempty_bins(ensemble: StateEnsemble, copies: int) -> list:
+    """The L-copy bin weights, refused if any bin is empty (its normalized
+    state is then undefined)."""
+    bin_eta = _mod_sum_bins([eta for eta, _ in ensemble.items], copies)
+    for i, eta in enumerate(bin_eta):
+        if eta <= 0.0:
+            raise ValueError(
+                f"coarse bin {i} has zero probability; the normalized bin state is undefined"
+            )
+    return bin_eta
 
 
 def _mod_sum_bins(factors, copies: int, product=operator.mul) -> list:

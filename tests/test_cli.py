@@ -6,6 +6,7 @@ import pytest
 from pthide import cli
 from pthide.cli import main
 from pthide.constructions import bell_state, example1
+from pthide.ensembles import coarse_grain
 from pthide.discrimination import helstrom_measurement
 from pthide.serialize import ensemble_to_dict, povm_to_dict
 
@@ -86,6 +87,19 @@ def test_nonconvergence_exits_3(tmp_path, capsys):
     code, out, _ = run(capsys, "qg", "--ensemble", str(path), "--max-iters", "0")
     assert code == 3
     assert not json.loads(out)["converged"]
+
+
+def test_gap_tol_below_rounding_exits_3_without_spending_the_budget(tmp_path, capsys):
+    # at --gap-tol 0 the rounding floor is never reached; the solve stops,
+    # unconverged, once its iterate stops changing (was the full budget of
+    # 100,000 iterations, about 14 s)
+    e = coarse_grain(random_two_state_ensemble(np.random.default_rng(19)), 2)
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps(ensemble_to_dict(e)))
+    code, out, _ = run(capsys, "qg", "--ensemble", str(path), "--gap-tol", "0")
+    assert code == 3
+    payload = json.loads(out)
+    assert not payload["converged"] and payload["iterations"] <= 64
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,8 @@ from pthide.discrimination import _MAX_STEP_NORM, _dual_lift, _objective_operato
 from pthide.discrimination import _projected_ascent
 from pthide.operators import _eig_apply
 
-from conftest import random_ensemble, random_povm, random_state, random_two_state_ensemble
+from conftest import random_ensemble, random_hermitian, random_povm, random_state
+from conftest import random_two_state_ensemble
 
 D22 = BipartiteDims(2, 2)
 
@@ -242,15 +243,30 @@ def test_two_state_eigenbasis_path_matches_clip_oracle(complex_entries):
 
 def test_two_state_gap_missed_by_rounding_is_checked_on_matrices():
     # at gap_tol=0 the eigenvalue model stops once every eigenvalue clips, but
-    # the gap of the actual matrices is rounding above 0: every further
-    # iterate is lifted from its matrices and the budget runs out, unconverged
+    # the gap of the actual matrices is rounding above 0: the iterate is
+    # checked on its matrices, and as the next iterate is the same matrix the
+    # run stops there, unconverged, long before its budget
     base = random_two_state_ensemble(np.random.default_rng(19))
     e = coarse_grain(base, 2)
-    rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=0.0, max_iters=30))
-    assert rep.iterations == 30 and not rep.converged
+    reps = [
+        solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=0.0, max_iters=budget))
+        for budget in (30, 2000, SolverOptions().max_iters)
+    ]
+    rep = reps[0]
+    assert rep.iterations <= 64 and not rep.converged
     iters, values, gaps, _ = rep.value_history.T
-    assert np.array_equal(iters, np.arange(31))
+    assert np.array_equal(iters, np.arange(rep.iterations + 1))
+    assert values[-1] == values[-2] and gaps[-1] == gaps[-2]
     assert 0.0 < gaps[-1] <= 1e-12 and abs(gaps[-1] - rep.gap) <= 1e-12
+    for other in reps[1:]:
+        assert other.iterations == rep.iterations and not other.converged
+        assert other.value == rep.value and other.gap == rep.gap
+        assert np.array_equal(other.value_history, rep.value_history)
+    # the same bracket as lifting every iterate on matrices until the budget
+    _, _, value, gap = _clip_ascent_oracle(
+        _objective_operators(e, use_pt=True), SolverOptions(gap_tol=0.0, max_iters=30)
+    )
+    assert abs(rep.value - value) <= 1e-12 and abs(rep.gap - gap) <= 1e-12
     closed = qg_level_two_state(base, 2)
     assert rep.value - 1e-9 <= closed <= rep.value + rep.gap + 1e-9
     assert dual_bound(e, rep.dual_h).feasible
@@ -418,3 +434,47 @@ def test_dual_bound_from_solver_closes_gap():
     out = dual_bound(res.ensemble, rep.dual_h, tol=1e-7)
     assert out.feasible
     assert abs(out.bound - 2.0 / 3.0) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.sampled_from([BipartiteDims(2, 2), BipartiteDims(2, 3)]),
+    n=st.integers(2, 3),
+    complex_entries=st.booleans(),
+    tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
+    shift=st.sampled_from(["-1e-3", "-2tol", "-tol/2", "0", "1e-3"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_dual_bound_cholesky_verdict_matches_the_spectrum(
+    dims, n, complex_entries, tol, shift, seed
+):
+    # H = Z + s I with min_i lambda_min(Z - G_i) = 0, so H sits s from the
+    # feasibility boundary; the verdict is eigvalsh's min >= -tol except
+    # within delta of it, an infeasible H names eigvalsh's violations, and a
+    # feasible one is certified without eigvalsh
+    rng = np.random.default_rng(seed)
+    etas = rng.dirichlet(np.ones(n))
+    e = StateEnsemble(
+        dims, tuple((eta, random_state(dims, rng, complex_entries)) for eta in etas)
+    )
+    g = _objective_operators(e, use_pt=True)
+    y = random_hermitian(dims, rng, complex_entries).entries
+    z = y - np.linalg.eigvalsh(y[None] - g)[:, 0].min() * np.eye(dims.total)
+    s = {"-1e-3": -1e-3, "-2tol": -2 * tol, "-tol/2": -tol / 2, "0": 0.0, "1e-3": 1e-3}[shift]
+    h = HermitianOperator(dims, z + s * np.eye(dims.total))
+    x = h.entries[None] - g
+    mins = np.linalg.eigvalsh(x)[:, 0]
+    delta = 2 * dims.total * np.finfo(float).eps * (1 + np.linalg.norm(x, axis=(1, 2)).max())
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        eigvalsh = np.linalg.eigvalsh
+        mp.setattr(np.linalg, "eigvalsh", lambda *a, **k: calls.append(1) or eigvalsh(*a, **k))
+        res = dual_bound(e, h, tol=tol)
+    if abs(mins.min() + tol) > delta:
+        assert res.feasible == (mins.min() >= -tol)
+    if res.feasible:
+        assert not calls
+        assert res.bound == h.trace() and res.violations == ()
+    else:
+        assert res.bound is None
+        assert res.violations == tuple((int(i), float(mins[i])) for i in np.flatnonzero(mins < -tol))

@@ -2,6 +2,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pthide import (
     BipartiteDims,
@@ -227,3 +229,39 @@ def test_coarse_grain_matches_index_vector_loop():
             assert abs(eta - eta_ref) <= 1e-12
             assert rho.entries.dtype == dtype
             assert np.abs(rho.entries - rho_ref).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    copies=st.integers(1, 3),
+    local=st.tuples(st.integers(1, 2), st.integers(1, 3)),
+    complex_entries=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tensor_bins_of_projectors_sum_the_index_vectors(n, copies, local, complex_entries, seed):
+    # bin i of _tensor_bins is the sum of the tensor products over the index
+    # vectors with modulo-n sum i; checked on random projectors, some zero
+    from pthide.ensembles import _tensor_bins
+
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(*local)
+    projs = []
+    for _ in range(n):
+        z = rng.standard_normal((dims.total, rng.integers(0, dims.total + 1)))
+        if complex_entries:
+            z = z + 1j * rng.standard_normal(z.shape)
+        q, _ = np.linalg.qr(z)
+        p = q @ q.conj().T
+        projs.append(HermitianOperator(dims, (p + p.conj().T) / 2))
+    got = _tensor_bins([p.entries for p in projs], dims, copies)
+    side = dims.total**copies
+    expected = [np.zeros((side, side), dtype=got[0].dtype) for _ in range(n)]
+    for c in product(range(n), repeat=copies):
+        term = projs[c[0]]
+        for cl in c[1:]:
+            term = _kron_regrouped(term, projs[cl])
+        expected[sum(c) % n] += term.entries
+    for b, ref in zip(got, expected):
+        assert b.shape == (side, side) and b.dtype == ref.dtype
+        assert np.abs(b - ref).max() <= 1e-12

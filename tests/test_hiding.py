@@ -13,6 +13,7 @@ from pthide import (
     StateEnsemble,
     GlobalPovmStrategy,
     PerCopyParityStrategy,
+    coarse_grain,
     exact_strategy_success,
     helstrom_measurement,
     identity,
@@ -24,7 +25,7 @@ from pthide import (
     tensor,
     tensor_power,
 )
-from pthide.constructions import bell_state, example1
+from pthide.constructions import bell_state, example1, example2
 
 from conftest import random_ensemble, random_povm, random_state
 
@@ -541,3 +542,76 @@ def test_direct_encoding_laws(etas, copies):
             assert np.allclose(row, expected, rtol=1e-12, atol=0)
             for c in np.flatnonzero(row):
                 assert prefix[m - 1][(r - c) % n] > 0.0
+
+
+def _support_oracle(ensemble, copies):
+    """Oracle: the support measurement built at side D^L, as an ``eigh`` of
+    every coarse-grained bin state with the remainder routed to outcome 0."""
+    coarse = coarse_grain(ensemble, copies)
+    blocks = []
+    for _, rho in coarse.items:
+        w, v = np.linalg.eigh(rho.entries)
+        keep = v[:, w > 1e-10]
+        p = keep @ keep.conj().T
+        blocks.append((p + p.conj().T) / 2)
+    blocks[0] = blocks[0] + np.eye(coarse.dims.total, dtype=blocks[0].dtype) - sum(blocks)
+    return blocks
+
+
+def _orthogonal_2x3_ensemble(rng, etas):
+    """Mixed states of ranks 2, 1 and 3 on orthogonal subspaces of a random
+    complex basis of C^6 (dims 2 x 3).  Their nonzero eigenvalues lie within
+    a factor 3 of each other, so the oracle's spectral projectors at side
+    D^L are accurate to rounding."""
+    dims = BipartiteDims(2, 3)
+    basis, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    items = []
+    for eta, cols in zip(etas, (basis[:, :2], basis[:, 2:3], basis[:, 3:])):
+        p = rng.uniform(0.5, 1.5, cols.shape[1])
+        rho = (cols * (p / p.sum())) @ cols.conj().T
+        rho = (rho + rho.conj().T) / 2
+        items.append((eta, HermitianOperator(dims, rho)))
+    return StateEnsemble(dims, tuple(items))
+
+
+def test_support_measurement_matches_coarse_grain_oracle(bell_ensemble):
+    cases = [(bell_ensemble, ell) for ell in range(1, 6)]
+    for (d, m, n), max_l in (((2, 1, 2), 5), ((3, 1, 2), 3), ((2, 2, 3), 2)):
+        cases += [(example2(d=d, m=m, n=n).ensemble, ell) for ell in range(1, max_l + 1)]
+    rng = np.random.default_rng(79)
+    full = _orthogonal_2x3_ensemble(rng, (0.2, 0.3, 0.5))
+    cases += [(full, ell) for ell in (1, 2, 3)]
+    # a zero-weight state: its bin is empty at L = 1, and from L = 2 on it
+    # must be left out of every bin's support
+    e = _orthogonal_2x3_ensemble(rng, (0.5, 0.0, 0.5))
+    with pytest.raises(ValueError, match="zero probability"):
+        orthogonal_support_strategy(e, 1)
+    cases += [(e, ell) for ell in (2, 3)]
+    for ens, ell in cases:
+        got = orthogonal_support_strategy(ens, ell)
+        assert got.name == "global-orthogonal"
+        assert np.array_equal(got.guesses, np.arange(ens.n))
+        for el, ref in zip(got.povm.elements, _support_oracle(ens, ell)):
+            assert el.entries.dtype == ref.dtype
+            assert np.abs(el.entries - ref).max() <= 1e-12
+        assert abs(exact_strategy_success(ens, ell, got) - 1.0) <= 1e-12
+    # the zero-weight state's copies go to the remainder, outcome 0
+    left_out = tensor(e.states[1], identity(e.dims)).entries
+    for el in orthogonal_support_strategy(e, 2).povm.elements[1:]:
+        assert np.abs(el.entries @ left_out).max() <= 1e-12
+
+
+def test_support_measurement_has_no_spectral_call_above_one_copy(monkeypatch, bell_ensemble):
+    sides = []
+    for name in ("eigh", "eigvalsh"):
+
+        def recorded(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            sides.append(np.shape(a)[-1])
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    e = _orthogonal_2x3_ensemble(np.random.default_rng(83), (0.2, 0.3, 0.5))
+    for ens, ell in ((bell_ensemble, 5), (e, 3)):
+        sides.clear()
+        orthogonal_support_strategy(ens, ell)
+        assert sides and max(sides) <= ens.dims.total

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pthide import (
     BipartiteDims,
@@ -151,6 +153,24 @@ def test_pt_acts_factorwise_on_tensor():
     lhs = partial_transpose(tensor(a, b)).entries
     rhs = tensor(partial_transpose(a), partial_transpose(b)).entries
     assert np.abs(lhs - rhs).max() < 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    local=st.tuples(*[st.integers(1, 3)] * 4),
+    complex_entries=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pt_acts_factorwise_bit_exactly(local, complex_entries, seed):
+    # partial transposition only moves entries and the tensor product only
+    # multiplies them, so the two orders give the same floats
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(BipartiteDims(*local[:2]), rng, complex_entries[0])
+    b = random_hermitian(BipartiteDims(*local[2:]), rng, complex_entries[1])
+    lhs = partial_transpose(tensor(a, b)).entries
+    rhs = tensor(partial_transpose(a), partial_transpose(b)).entries
+    assert lhs.dtype == rhs.dtype
+    assert np.array_equal(lhs, rhs)
 
 
 def test_tensor_dimension_cap():
