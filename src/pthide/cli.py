@@ -9,6 +9,7 @@ manifest timestamp when byte-identical reruns are required.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,7 +32,6 @@ from .hiding import (
     GlobalPovmStrategy,
     PerCopyParityStrategy,
     ProtocolConfig,
-    exact_strategy_success,
     orthogonal_support_strategy,
     simulate_broadcast_scheme,
     simulate_direct_encoding,
@@ -283,16 +283,9 @@ def _run_sim(args, ensemble, copies):
     cfg = ProtocolConfig(
         ensemble=ensemble, copies=copies, trials=args.trials, seed=args.seed, strategy=strategy
     )
-    scheme = "direct" if args.direct_encoding else "broadcast"
-    reference = exact_strategy_success(ensemble, copies, strategy, scheme=scheme, cap=args.cap)
     if args.direct_encoding:
-        return simulate_direct_encoding(cfg, analytic_reference=reference, cap=args.cap)
-    return simulate_broadcast_scheme(
-        cfg,
-        withhold_broadcast=args.withhold_broadcast,
-        analytic_reference=reference,
-        cap=args.cap,
-    )
+        return simulate_direct_encoding(cfg, cap=args.cap)
+    return simulate_broadcast_scheme(cfg, withhold_broadcast=args.withhold_broadcast, cap=args.cap)
 
 
 def cmd_hide_sim(args) -> int:
@@ -301,31 +294,11 @@ def cmd_hide_sim(args) -> int:
         rows = []
         for copies in range(1, args.lmax + 1):
             res = _run_sim(args, ensemble, copies)
-            rows.append(
-                [
-                    copies,
-                    res.empirical_success,
-                    res.stderr,
-                    res.analytic_reference if res.analytic_reference is not None else "",
-                ]
-            )
+            rows.append([copies, res.empirical_success, res.stderr, res.analytic_reference])
         _emit_csv(_manifest(args), ["L", "empirical", "stderr", "reference"], rows, args.out)
         return EXIT_OK
     res = _run_sim(args, ensemble, args.L)
-    payload = {
-        "manifest": _manifest(args),
-        "empirical_success": res.empirical_success,
-        "stderr": res.stderr,
-        "trials": res.trials,
-        "seed": res.seed,
-        "copies": res.copies,
-        "scheme": res.scheme,
-        "strategy": res.strategy,
-        "rng": res.rng,
-        "analytic_reference": res.analytic_reference,
-        "z_score": res.z_score,
-    }
-    _emit_json(payload, args.out)
+    _emit_json({"manifest": _manifest(args), **dataclasses.asdict(res)}, args.out)
     return EXIT_OK
 
 

@@ -98,10 +98,9 @@ def success_probability(ensemble: StateEnsemble, povm: Povm, use_pt: bool = Fals
 
 
 def _weighted_difference(ensemble: StateEnsemble, use_pt: bool) -> HermitianOperator:
-    (eta0, rho0), (eta1, rho1) = ensemble.items
-    a0 = partial_transpose(rho0) if use_pt else rho0
-    a1 = partial_transpose(rho1) if use_pt else rho1
-    return eta0 * a0 - eta1 * a1
+    """G0 - G1 of :func:`_objective_operators` for a two-state ensemble."""
+    g = _objective_operators(ensemble, use_pt)
+    return HermitianOperator(ensemble.dims, g[0] - g[1])
 
 
 def qg_two_state(ensemble: StateEnsemble) -> float:
@@ -203,17 +202,15 @@ def _project_povm_set(x: np.ndarray) -> tuple[np.ndarray, int | None]:
     """Project a block tuple onto {M_i PSD, sum_i M_i = identity}.
 
     Returns the projection and the number of Dykstra sweeps it took, or None
-    if it did not converge.  n = 1 admits the exact projection (0 sweeps).
-    Two states never come here: :func:`_two_state_ascent` solves them in the
+    if it did not converge.  One state never comes here (its single operator
+    commutes with itself, so :func:`_try_commuting_solve` solves it), and
+    two states never do either: :func:`_two_state_ascent` solves them in the
     eigenbasis of G0 - G1.  Dykstra's alternating scheme, between the PSD
     cone product and the completeness subspace (the affine set needs no
     correction term), serves n > 2 only; it converges once a sweep moves the
     iterate by at most ``_DYKSTRA_TOL * (1 + ||x||)``, if it does so within
     ``_DYKSTRA_MAX_SWEEPS``.
     """
-    n, d = x.shape[0], x.shape[-1]
-    if n == 1:
-        return np.eye(d, dtype=x.dtype)[None, :, :].copy(), 0
     scale = 1.0 + float(np.linalg.norm(x))
     cur = x
     correction = np.zeros_like(x)
@@ -387,7 +384,7 @@ def _projected_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
             step /= 2
             growing = False
             continue
-        m = nxt if n == 1 else _repair_povm(nxt)
+        m = _repair_povm(nxt)
         lifted = _dual_lift(g, m)
         # Dykstra's sweep count climbs with the step, so a projection that
         # needed over half the budget would likely fail at twice the step.
@@ -503,7 +500,7 @@ def certify_optimal(
             f"POVM has {povm.n_outcomes} outcomes but the ensemble has {ensemble.n} states"
         )
     g = _objective_operators(ensemble, use_pt)
-    m = np.stack([el.entries.astype(g.dtype, copy=False) for el in povm.elements])
+    m = np.stack([el.entries for el in povm.elements])
     _, z, resid_min, _ = _dual_lift(g, m)
     return CertificationResult(resid_min, bool(resid_min.min() >= -tol), tol)
 
@@ -545,7 +542,7 @@ def dual_bound(
     if h.dims != ensemble.dims:
         raise ValueError("operator and ensemble dimensions differ")
     g = _objective_operators(ensemble, use_pt=True)
-    x = h.entries.astype(g.dtype, copy=False) - g
+    x = h.entries - g
     d = x.shape[-1]
     delta = 2 * d * np.finfo(float).eps * (1.0 + max(float(np.linalg.norm(xi)) for xi in x))
     for xi in x:
@@ -557,7 +554,7 @@ def dual_bound(
     else:
         return DualBoundResult(True, h.trace(), ())
     del x
-    mins = np.linalg.eigvalsh(h.entries.astype(g.dtype, copy=False) - g)[:, 0]
+    mins = np.linalg.eigvalsh(h.entries - g)[:, 0]
     violations = tuple((int(i), float(mins[i])) for i in np.nonzero(mins < -tol)[0])
     if violations:
         return DualBoundResult(False, None, violations)

@@ -22,10 +22,13 @@ copy's index, jointly with its outcome under a per-copy parity strategy, and
 a trial keeps only its running index sum and its outcome parity.  A global
 POVM's outcome is drawn once, after the copies, from the law of the trial's
 bin, the same table :func:`exact_strategy_success` reads; no n^L table of
-L-copy states is built.  Memory is O(trials) whatever L.  Measured at
-250,000 trials with parity on the Bell example (numpy 2.4.6, one thread,
-2-core x86-64): 11-16 ns per copy and trial for broadcast, about 22 ns for
-direct encoding.
+L-copy states is built.  Each run builds that table once, draws from it,
+and reads its own exact reference from it (see :class:`SimResult`): a
+run's ``analytic_reference`` equals :func:`exact_strategy_success` bit for
+bit, and is 1/n when the broadcast is withheld.  Memory is O(trials)
+whatever L.  Measured at 250,000 trials with parity on the Bell example
+(numpy 2.4.6, one thread, 2-core x86-64): 11-16 ns per copy and trial for
+broadcast, about 22 ns for direct encoding.
 """
 
 from __future__ import annotations
@@ -165,6 +168,16 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class SimResult:
+    """One simulation run: the estimate, its Wald standard error, and the
+    exact success the run's own sampling law gives, with the estimate's
+    z-score against it.
+
+    ``analytic_reference`` is read off the bin table the run draws from:
+    the exact broadcast or uniform direct-encoding success (as
+    :func:`exact_strategy_success`), P(guess = x | bin x) for a fixed
+    symbol x, and 1/n with the broadcast withheld.
+    """
+
     empirical_success: float
     stderr: float
     trials: int
@@ -172,9 +185,9 @@ class SimResult:
     copies: int
     scheme: str
     strategy: str
+    analytic_reference: float
+    z_score: float
     rng: str = RNG_NAME
-    analytic_reference: float | None = None
-    z_score: float | None = None
 
 
 def _born_table(states, elements) -> np.ndarray:
@@ -225,9 +238,7 @@ def _finish(success_mask, cfg, scheme, reference) -> SimResult:
     """
     p_hat = float(success_mask.mean())
     stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / cfg.trials))
-    if reference is None:
-        z = None
-    elif reference in (0.0, 1.0):
+    if reference in (0.0, 1.0):
         z = 0.0 if p_hat == reference else float(np.copysign(np.inf, p_hat - reference))
     else:
         z = float((p_hat - reference) / np.sqrt(reference * (1.0 - reference) / cfg.trials))
@@ -244,18 +255,19 @@ def _finish(success_mask, cfg, scheme, reference) -> SimResult:
     )
 
 
-def _draw_guesses(cfg: ProtocolConfig, rng, laws, state: np.ndarray, cap=None) -> np.ndarray:
+def _draw_guesses(cfg: ProtocolConfig, rng, coarse, laws, state: np.ndarray) -> np.ndarray:
     """Draw the copies one at a time and return the receiver's guesses.
 
-    ``laws`` gives, copy by copy, the law of the copy's index c: 1-D for the
-    same law in every trial, or 2-D with one row per value of ``state``, a
-    (trials,) integer vector to which each drawn c is added in place.  Under
+    ``coarse`` is the run's :func:`_coarse_table`.  ``laws`` gives, copy by
+    copy, the law of the copy's index c: 1-D for the same law in every
+    trial, or 2-D with one row per value of ``state``, a (trials,) integer
+    vector to which each drawn c is added in place.  Under
     parity, c and the copy's outcome o are drawn together, with one uniform,
     from the 2n categories 2c + o of law(c) * P(o | c), and only the outcome
     parity is kept; under a global POVM, whose outcome depends on the copies
     only through the bin of their modulo-n sum, the outcome is drawn from
-    that bin's row of :func:`_coarse_table`.  No (trials, copies) array and
-    no n^L table is built.
+    that bin's row of ``coarse``.  No (trials, copies) array and no n^L
+    table is built.
     """
     ensemble = cfg.ensemble
     strategy = cfg.strategy
@@ -269,7 +281,7 @@ def _draw_guesses(cfg: ProtocolConfig, rng, laws, state: np.ndarray, cap=None) -
             parity ^= k & 1
         return parity
     if isinstance(strategy, GlobalPovmStrategy):
-        _, table, guesses = _coarse_table(ensemble, cfg.copies, strategy, cap)
+        _, table, guesses = coarse
         start = state.copy()
         for law in laws:
             state += _sample_rows(rng, law, state)
@@ -280,7 +292,6 @@ def _draw_guesses(cfg: ProtocolConfig, rng, laws, state: np.ndarray, cap=None) -
 def simulate_broadcast_scheme(
     cfg: ProtocolConfig,
     withhold_broadcast: bool = False,
-    analytic_reference: float | None = None,
     cap: int | None = None,
 ) -> SimResult:
     """Monte Carlo run of the broadcast scheme with a uniformly hidden symbol.
@@ -289,7 +300,8 @@ def simulate_broadcast_scheme(
     draw x uniformly, publish z = x + y; the receiver guesses y from the
     quantum copies and outputs z - y_guess.  With ``withhold_broadcast`` the
     receiver never sees z and can only output its y guess, so any strategy
-    sits at chance level 1/n.
+    sits at chance level 1/n, which is then the run's reference (see
+    :class:`SimResult`).
 
     Copies are drawn one at a time, each index (jointly with its outcome
     under parity) from one uniform, and only the running index sum and the
@@ -297,13 +309,15 @@ def simulate_broadcast_scheme(
     costs 11-16 ns per trial under parity (see the module notes).
     """
     n = cfg.ensemble.n
+    coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, cap)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     y = np.zeros(cfg.trials, dtype=np.intp)
     laws = [cfg.ensemble.probabilities] * cfg.copies
-    y_guess = _draw_guesses(cfg, rng, laws, y, cap=cap)
+    y_guess = _draw_guesses(cfg, rng, coarse, laws, y)
     x = rng.integers(0, n, cfg.trials)
     x_guess = y_guess if withhold_broadcast else (x + y - y_guess) % n
-    return _finish(x_guess == x, cfg, "broadcast", analytic_reference)
+    reference = 1.0 / n if withhold_broadcast else _exact_success(coarse, "broadcast")
+    return _finish(x_guess == x, cfg, "broadcast", reference)
 
 
 def _direct_laws(etas: np.ndarray, copies: int):
@@ -333,7 +347,6 @@ def _direct_laws(etas: np.ndarray, copies: int):
 def simulate_direct_encoding(
     cfg: ProtocolConfig,
     x: int | None = None,
-    analytic_reference: float | None = None,
     cap: int | None = None,
 ) -> SimResult:
     """Monte Carlo run of direct encoding: the receiver gets the coarse state
@@ -348,6 +361,7 @@ def simulate_direct_encoding(
     refused before any draw.
     """
     n = cfg.ensemble.n
+    coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, cap)
     rng = np.random.Generator(np.random.Philox(cfg.seed))
     bin_eta, laws = _direct_laws(cfg.ensemble.probabilities, cfg.copies)
     if x is None:
@@ -360,8 +374,9 @@ def simulate_direct_encoding(
         if bin_eta[x] <= 0.0:
             raise ValueError(f"coarse bin {x} has zero probability; direct encoding undefined")
         xs = np.full(cfg.trials, x, dtype=np.intp)
-    x_guess = _draw_guesses(cfg, rng, laws, n - xs, cap=cap)
-    return _finish(x_guess == xs, cfg, "direct-encoding", analytic_reference)
+    x_guess = _draw_guesses(cfg, rng, coarse, laws, n - xs)
+    reference = _exact_success(coarse, "direct", x)
+    return _finish(x_guess == xs, cfg, "direct-encoding", reference)
 
 
 def _coarse_table(ensemble: StateEnsemble, copies: int, strategy, cap: int | None):
@@ -406,20 +421,31 @@ def exact_strategy_success(
     """Deterministic success probability, exact up to rounding (no sampling).
 
     Success depends on a preparation only through the modulo-n bin of its
-    index sum, so it is read off the n coarse bins: broadcast succeeds with
-    sum_i eta_i P(guess = i | bin i), direct encoding with
-    (1/n) sum_i P(guess = i | bin i).  Empty bins add nothing to broadcast;
-    direct encoding refuses them.  The sum is clipped into [0, 1], which a
-    certain strategy can overshoot by rounding.
+    index sum, so it is read off the n coarse bins (see :func:`_exact_success`).
+    Both simulators report the same value as their ``analytic_reference``.
     """
     if scheme not in ("broadcast", "direct"):
         raise ValueError("scheme must be 'broadcast' or 'direct'")
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    bin_eta, table, guesses = _coarse_table(ensemble, copies, strategy, cap)
-    hit = (table * (guesses == np.arange(ensemble.n)[:, None])).sum(axis=1)
+    return _exact_success(_coarse_table(ensemble, copies, strategy, cap), scheme)
+
+
+def _exact_success(coarse, scheme: str, x: int | None = None) -> float:
+    """Exact success read off a :func:`_coarse_table`.
+
+    Broadcast succeeds with sum_i eta_i P(guess = i | bin i), direct encoding
+    with (1/n) sum_i P(guess = i | bin i), or P(guess = x | bin x) for a
+    fixed symbol x.  Empty bins add nothing to broadcast; uniform direct
+    encoding refuses them.  The value is clipped into [0, 1], which a
+    certain strategy can overshoot by rounding.
+    """
+    bin_eta, table, guesses = coarse
+    hit = (table * (guesses == np.arange(len(bin_eta))[:, None])).sum(axis=1)
     if scheme == "broadcast":
         success = bin_eta @ hit
+    elif x is not None:
+        success = hit[x]
     elif np.any(bin_eta <= 0.0):
         raise ValueError("a coarse bin has zero probability; direct encoding undefined")
     else:

@@ -258,15 +258,16 @@ def test_criterion_8_monte_carlo_concordance():
     for ell in range(1, 6):
         cfg = ProtocolConfig(ensemble=e, copies=ell, trials=100_000, seed=808, strategy=parity)
         reference = 0.5 + 0.5 * 2.0**-ell
-        res = simulate_broadcast_scheme(cfg, analytic_reference=reference)
+        res = simulate_broadcast_scheme(cfg)
+        assert abs(res.analytic_reference - reference) <= 1e-12
         assert abs(res.z_score) <= 4.0
         enumerated = exact_strategy_success(e, ell, parity, scheme="broadcast")
         assert abs(res.empirical_success - enumerated) <= 4 * res.stderr
     masked = simulate_broadcast_scheme(
         ProtocolConfig(ensemble=e, copies=3, trials=100_000, seed=809, strategy=parity),
         withhold_broadcast=True,
-        analytic_reference=0.5,
     )
+    assert masked.analytic_reference == 0.5
     assert abs(masked.z_score) <= 5.0
     print(
         "\nPASS criterion 8: broadcast simulation within 4 sigma of the closed form and "

@@ -230,6 +230,45 @@ def test_hide_sim_reference_honours_cap(capsys, monkeypatch):
     assert payload["z_score"] == 0.0
 
 
+def test_hide_sim_withheld_broadcast_reference_is_chance(capsys):
+    # without the broadcast x is uniform and independent of the guess, so the
+    # reference is exactly 1/n, not the broadcast success 0.625
+    code, out, _ = run(
+        capsys,
+        "hide-sim", "--ensemble", "bell-example1", "--L", "2",
+        "--trials", "100000", "--seed", "3", "--withhold-broadcast",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["analytic_reference"] == 0.5
+    assert abs(payload["z_score"]) <= 5.0
+
+
+def test_hide_sim_builds_the_bin_table_once(capsys, monkeypatch):
+    # the run draws from the side-D^L bin table and reads its reference off
+    # the same table: one build per run
+    from pthide import hiding
+
+    calls = []
+    build = hiding._coarse_table
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(hiding, "_coarse_table", counted)
+    for scheme in ([], ["--direct-encoding"]):
+        calls.clear()
+        code, out, _ = run(
+            capsys,
+            "hide-sim", "--ensemble", "bell-example1", "--L", "3",
+            "--strategy", "global-orthogonal", "--trials", "2000", *scheme,
+        )
+        assert code == 0
+        assert calls == [3]
+        assert abs(json.loads(out)["analytic_reference"] - 1.0) <= 1e-12
+
+
 def test_hide_sim_reference_at_many_copies(capsys):
     code, out, _ = run(
         capsys, "hide-sim", "--ensemble", "bell-example1", "--L", "12", "--trials", "1000"

@@ -124,11 +124,18 @@ def test_solver_matches_closed_forms_both_objectives():
 
 
 def test_solver_single_state_ensemble():
-    rho = random_state(D22, np.random.default_rng(7))
-    e = StateEnsemble(D22, ((1.0, rho),))
-    rep = solve_optimal_value(e, use_pt=True)
-    assert abs(rep.value - 1.0) < 1e-9
-    assert np.allclose(rep.povm.elements[0].entries, np.eye(4), atol=1e-9)
+    # one operator commutes with itself, so n = 1 never reaches the ascent
+    rng = np.random.default_rng(7)
+    for dims in (BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3)):
+        for complex_entries in (False, True):
+            rho = random_state(dims, rng, complex_entries)
+            e = StateEnsemble(dims, ((1.0, rho),))
+            for use_pt in (True, False):
+                rep = solve_optimal_value(e, use_pt=use_pt)
+                assert rep.method == "commuting-eigenbasis"
+                assert rep.converged
+                assert abs(rep.value - 1.0) < 1e-12
+                assert np.allclose(rep.povm.elements[0].entries, np.eye(dims.total), atol=1e-9)
 
 
 def test_solver_example2_small_value_and_certificate():
@@ -400,6 +407,30 @@ def test_certify_swapped_measurement_fails():
     assert cert.residual_min_eigs.min() < -1e-8
 
 
+def test_certify_judges_a_complex_povm_on_a_real_ensemble():
+    # the residuals are those of M itself, not of Re(M)
+    e = example1(bell_state())
+    c, s = np.cos(0.3), np.sin(0.3)
+    u = np.eye(4, dtype=complex)
+    u[:2, :2] = [[c, 1j * s], [1j * s, c]]
+    m0 = u @ np.diag([1.0, 0.0, 1.0, 0.0]) @ u.conj().T
+    povm = Povm(D22, (HermitianOperator(D22, m0), HermitianOperator(D22, np.eye(4) - m0)))
+    g = _objective_operators(e, use_pt=True)
+    assert g.dtype == float
+
+    def residual_minima(m):
+        z = g[0] @ m[0] + g[1] @ m[1]
+        z = (z + z.conj().T) / 2
+        return np.linalg.eigvalsh(z[None] - g)[:, 0]
+
+    m = np.stack([m0, np.eye(4) - m0])
+    want = residual_minima(m)
+    assert np.abs(want - residual_minima(m.real)).max() > 1e-3
+    cert = certify_optimal(e, povm, use_pt=True)
+    assert np.abs(cert.residual_min_eigs - want).max() <= 1e-12
+    assert not cert.certified
+
+
 def test_certify_outcome_count_mismatch():
     e = example1(bell_state())
     with pytest.raises(ValueError, match="outcomes"):
@@ -426,6 +457,21 @@ def test_dual_bound_rejects_zero():
     assert res.bound is None
     assert len(res.violations) == 2
     assert all(lmin < 0 for _, lmin in res.violations)
+
+
+def test_dual_bound_judges_a_complex_h_on_a_real_ensemble():
+    # Re(H) = 0.6 I would pass with bound 2.4; H itself has
+    # lambda_min(H - G_i) = -1.593 and -1.467
+    e = example1(bell_state())
+    k = np.zeros((4, 4), dtype=complex)
+    k[0, 1], k[1, 0] = 2j, -2j
+    h = HermitianOperator(D22, 0.6 * np.eye(4) + k)
+    mins = np.linalg.eigvalsh(h.entries - _objective_operators(e, use_pt=True))[:, 0]
+    assert np.allclose(mins, [-1.593, -1.467], atol=1e-3)
+    res = dual_bound(e, h)
+    assert not res.feasible
+    assert res.bound is None
+    assert res.violations == ((0, float(mins[0])), (1, float(mins[1])))
 
 
 def test_dual_bound_from_solver_closes_gap():

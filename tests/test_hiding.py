@@ -26,6 +26,7 @@ from pthide import (
     tensor_power,
 )
 from pthide.constructions import bell_state, example1, example2
+from pthide.hiding import _finish
 
 from conftest import random_ensemble, random_povm, random_state
 
@@ -98,7 +99,8 @@ def test_broadcast_parity_matches_closed_form(bell_ensemble, optimal_parity):
         cfg = ProtocolConfig(
             ensemble=bell_ensemble, copies=ell, trials=TRIALS, seed=101, strategy=optimal_parity
         )
-        res = simulate_broadcast_scheme(cfg, analytic_reference=ref)
+        res = simulate_broadcast_scheme(cfg)
+        assert abs(res.analytic_reference - ref) <= 1e-12
         assert abs(res.z_score) <= 4.0
         assert res.stderr == pytest.approx(
             np.sqrt(res.empirical_success * (1 - res.empirical_success) / TRIALS)
@@ -127,7 +129,9 @@ def test_masking_without_broadcast(bell_ensemble, optimal_parity):
     cfg = ProtocolConfig(
         ensemble=bell_ensemble, copies=3, trials=TRIALS, seed=7, strategy=optimal_parity
     )
-    res = simulate_broadcast_scheme(cfg, withhold_broadcast=True, analytic_reference=0.5)
+    res = simulate_broadcast_scheme(cfg, withhold_broadcast=True)
+    # x is uniform and independent of the guess: the reference is exactly 1/n
+    assert res.analytic_reference == 0.5
     assert abs(res.z_score) <= 5.0
 
 
@@ -144,7 +148,8 @@ def test_exact_matches_simulation(bell_ensemble, correlation_parity):
             seed=17,
             strategy=correlation_parity,
         )
-        res = runner(cfg, analytic_reference=exact)
+        res = runner(cfg)
+        assert res.analytic_reference == exact
         assert abs(res.empirical_success - exact) <= 4 * res.stderr
 
 
@@ -241,6 +246,11 @@ def test_direct_encoding_fixed_symbol(bell_ensemble, correlation_parity):
     avg = 0.5 * (res0.empirical_success + res1.empirical_success)
     exact = exact_strategy_success(bell_ensemble, 2, correlation_parity, scheme="direct")
     assert abs(avg - exact) <= 4 * (res0.stderr + res1.stderr)
+    # each run's reference is P(guess = x | bin x); their mean is the uniform value
+    assert res0.analytic_reference != res1.analytic_reference
+    assert abs(0.5 * (res0.analytic_reference + res1.analytic_reference) - exact) <= 1e-15
+    for res in (res0, res1):
+        assert abs(res.z_score) <= 4.0
     with pytest.raises(ValueError, match="out of range"):
         simulate_direct_encoding(cfg, x=2)
 
@@ -391,9 +401,9 @@ def test_z_score_for_a_certain_strategy(bell_ensemble):
         ):
             exact = exact_strategy_success(bell_ensemble, ell, strat, scheme=scheme)
             assert 0.0 <= exact <= 1.0
-            res = runner(cfg, analytic_reference=exact)
+            res = runner(cfg)
             assert res.empirical_success == 1.0
-            assert res.analytic_reference <= 1.0
+            assert res.analytic_reference == exact
             assert abs(res.z_score) <= 5.0
 
 
@@ -404,18 +414,24 @@ def test_z_score_when_every_trial_succeeds(bell_ensemble):
     cfg = ProtocolConfig(
         ensemble=bell_ensemble, copies=2, trials=TRIALS, seed=11, strategy=strat
     )
-    res = simulate_broadcast_scheme(cfg, analytic_reference=1.0 - 1e-9)
+    assert simulate_broadcast_scheme(cfg).empirical_success == 1.0
+    right = np.ones(TRIALS, dtype=bool)
+    res = _finish(right, cfg, "broadcast", 1.0 - 1e-9)
     assert res.empirical_success == 1.0
     assert abs(res.z_score) <= 0.1
     assert res.stderr == np.sqrt(1e-300 / TRIALS)  # the Wald error, as reported before
     # a reference of exactly 0 or 1 has no spread: equal is 0, anything else
     # is an infinite z, the signal of a sampler bug
-    assert simulate_broadcast_scheme(cfg, analytic_reference=1.0).z_score == 0.0
-    assert simulate_broadcast_scheme(cfg, analytic_reference=0.0).z_score == np.inf
+    assert _finish(right, cfg, "broadcast", 1.0).z_score == 0.0
+    assert _finish(right, cfg, "broadcast", 0.0).z_score == np.inf
     chance = ProtocolConfig(
         ensemble=bell_ensemble, copies=2, trials=1000, seed=11, strategy=strat
     )
-    res = simulate_broadcast_scheme(chance, withhold_broadcast=True, analytic_reference=1.0)
+    masked = simulate_broadcast_scheme(chance, withhold_broadcast=True)
+    hits = round(masked.empirical_success * chance.trials)
+    assert 0 < hits < chance.trials
+    res = _finish(np.arange(chance.trials) < hits, chance, "broadcast", 1.0)
+    assert res.empirical_success == masked.empirical_success
     assert res.z_score == -np.inf
 
 
@@ -501,7 +517,8 @@ def test_three_state_simulation_matches_exact():
                 ("direct", simulate_direct_encoding),
             ):
                 exact = exact_strategy_success(e, ell, strat, scheme=scheme)
-                res = runner(cfg, analytic_reference=exact)
+                res = runner(cfg)
+                assert res.analytic_reference == exact
                 assert abs(res.z_score) <= 4.0
 
 
