@@ -377,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="parity-product",
     )
     p.add_argument("--povm", default=None, help="POVM JSON for povm-file / parity base")
-    p.add_argument("--direct-encoding", action="store_true")
-    p.add_argument("--withhold-broadcast", action="store_true")
+    scheme = p.add_mutually_exclusive_group()
+    scheme.add_argument("--direct-encoding", action="store_true")
+    scheme.add_argument("--withhold-broadcast", action="store_true")
     p.add_argument("--csv", action="store_true", help="sweep L = 1..lmax, emit CSV")
     p.add_argument("--lmax", type=int, default=5)
     p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")

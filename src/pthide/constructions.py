@@ -23,6 +23,7 @@ from .operators import (
     DEFAULT_DIM_CAP,
     BipartiteDims,
     HermitianOperator,
+    _hermitize,
     abs_op,
     is_psd,
     partial_transpose,
@@ -240,7 +241,7 @@ def random_density_state(dims: BipartiteDims, rng: np.random.Generator) -> Hermi
     z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = z @ z.conj().T
     rho /= np.trace(rho).real
-    return HermitianOperator(dims, (rho + rho.conj().T) / 2)
+    return HermitianOperator(dims, _hermitize(rho))
 
 
 def random_npt_state(dims: BipartiteDims, seed: int, npt_tol: float = 1e-9) -> HermitianOperator:

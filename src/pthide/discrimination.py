@@ -11,6 +11,8 @@ A measurement attains the maximum iff ``sum_j G_j M_j - G_i`` is PSD for
 every i, and any Hermitian H with ``H - G_i`` PSD for all i certifies
 ``Tr H`` as an upper bound on the value.  Those two facts drive both the
 duality-gap stopping rule and :func:`certify_optimal` / :func:`dual_bound`.
+The solver, the closed forms and the certificates all work on the (n, D, D)
+stack of the G_i (:func:`_objective_operators`, :func:`_solve_stack`).
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ensembles import StateEnsemble
-from .operators import BipartiteDims, HermitianOperator, _eig_apply, is_psd
-from .operators import partial_transpose, trace_norm
+from .operators import BipartiteDims, HermitianOperator, is_psd
+from .operators import _eig_apply, _hermitize, _pt, _spectral
 
 POVM_PSD_TOL = 1e-9
 POVM_COMPLETENESS_TOL = 1e-9
@@ -73,13 +75,9 @@ def validate_povm(povm: Povm):
 
 
 def _objective_operators(ensemble: StateEnsemble, use_pt: bool) -> np.ndarray:
-    """Stack eta_i * rho_i (optionally partially transposed) as (n, D, D)."""
-    mats = []
-    for eta, rho in ensemble.items:
-        a = partial_transpose(rho).entries if use_pt else rho.entries
-        mats.append(eta * a)
-    dtype = np.result_type(*[m.dtype for m in mats])
-    return np.stack([m.astype(dtype, copy=False) for m in mats])
+    """Stack eta_i * rho_i as (n, D, D), partially transposed as one stack if ``use_pt``."""
+    g = np.stack([eta * rho.entries for eta, rho in ensemble.items])
+    return _pt(g, ensemble.dims) if use_pt else g
 
 
 def success_probability(ensemble: StateEnsemble, povm: Povm, use_pt: bool = False) -> float:
@@ -97,10 +95,18 @@ def success_probability(ensemble: StateEnsemble, povm: Povm, use_pt: bool = Fals
     return float(total.real)
 
 
-def _weighted_difference(ensemble: StateEnsemble, use_pt: bool) -> HermitianOperator:
+def _weighted_difference(ensemble: StateEnsemble, use_pt: bool) -> np.ndarray:
     """G0 - G1 of :func:`_objective_operators` for a two-state ensemble."""
     g = _objective_operators(ensemble, use_pt)
-    return HermitianOperator(ensemble.dims, g[0] - g[1])
+    return g[0] - g[1]
+
+
+def _difference_norm(ensemble: StateEnsemble, use_pt: bool) -> float:
+    """Trace norm of :func:`_weighted_difference`, the quantity every
+    two-state closed form is built from."""
+    if ensemble.n != 2:
+        raise ValueError("closed form requires exactly two states")
+    return float(np.abs(np.linalg.eigvalsh(_weighted_difference(ensemble, use_pt))).sum())
 
 
 def qg_two_state(ensemble: StateEnsemble) -> float:
@@ -111,16 +117,12 @@ def qg_two_state(ensemble: StateEnsemble) -> float:
     strongly NPT pairs the value may exceed 1 (it bounds a probability
     without being one itself).
     """
-    if ensemble.n != 2:
-        raise ValueError("closed form requires exactly two states")
-    return 0.5 + 0.5 * trace_norm(_weighted_difference(ensemble, use_pt=True))
+    return 0.5 + 0.5 * _difference_norm(ensemble, use_pt=True)
 
 
 def helstrom_two_state(ensemble: StateEnsemble) -> float:
     """Optimal two-state minimum-error success probability (Helstrom value)."""
-    if ensemble.n != 2:
-        raise ValueError("closed form requires exactly two states")
-    return 0.5 + 0.5 * trace_norm(_weighted_difference(ensemble, use_pt=False))
+    return 0.5 + 0.5 * _difference_norm(ensemble, use_pt=False)
 
 
 def helstrom_measurement(ensemble: StateEnsemble, use_pt: bool = False) -> Povm:
@@ -132,13 +134,11 @@ def helstrom_measurement(ensemble: StateEnsemble, use_pt: bool = False) -> Povm:
     """
     if ensemble.n != 2:
         raise ValueError("projective construction requires exactly two states")
-    diff = _weighted_difference(ensemble, use_pt)
-    w, v = np.linalg.eigh(diff.entries)
+    w, v = np.linalg.eigh(_weighted_difference(ensemble, use_pt))
     nonneg = v[:, w >= 0.0]
-    m0 = nonneg @ nonneg.conj().T
-    m0 = (m0 + m0.conj().T) / 2
-    m1 = np.eye(diff.dims.total) - m0
-    return Povm(diff.dims, (HermitianOperator(diff.dims, m0), HermitianOperator(diff.dims, m1)))
+    m0 = _hermitize(nonneg @ nonneg.conj().T)
+    dims = ensemble.dims
+    return Povm(dims, (HermitianOperator(dims, m0), HermitianOperator(dims, np.eye(dims.total) - m0)))
 
 
 @dataclass(frozen=True)
@@ -235,8 +235,7 @@ def _repair_povm(m: np.ndarray) -> np.ndarray:
     """
     m = _psd_clip(m)
     r = _eig_apply(m.sum(axis=0), lambda w: 1.0 / np.sqrt(w))
-    out = r @ m @ r
-    return (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
+    return _hermitize(r @ m @ r)
 
 
 def _dual_lift(g: np.ndarray, m: np.ndarray):
@@ -247,9 +246,8 @@ def _dual_lift(g: np.ndarray, m: np.ndarray):
     """
     z_raw = (g @ m).sum(axis=0)
     value = float(np.trace(z_raw).real)
-    z = (z_raw + z_raw.conj().T) / 2
-    resid_eigs = np.linalg.eigvalsh(z[None, :, :] - g)
-    resid_min = resid_eigs[:, 0].copy()
+    z = _hermitize(z_raw)
+    resid_min = np.linalg.eigvalsh(z[None, :, :] - g)[:, 0].copy()
     lam = max(0.0, float(-resid_min.min()))
     return value, z, resid_min, lam
 
@@ -261,13 +259,13 @@ def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
     assigned to the state with the largest diagonal value, the optimum is the
     sum of those maxima, and the unshifted dual candidate already certifies a
     zero gap.  Probabilistic matvec probes guard both the commutation test
-    and the joint-diagonalization, falling back to the iterative path on any
-    doubt.
+    and the joint-diagonalization, returning None (the iterative path) on
+    any doubt.  Returns :func:`_solve_stack`'s tuple, whose lifted part is
+    :func:`_dual_lift`'s with a zero shift.
     """
     n, d = g.shape[0], g.shape[-1]
     rng = np.random.default_rng(opts.fast_path_seed)
-    scales = np.array([np.linalg.norm(g[i]) for i in range(n)])
-    scales = np.maximum(scales, 1e-300)
+    scales = np.maximum([np.linalg.norm(gi) for gi in g], 1e-300)
     probes = rng.standard_normal((d, 3)).astype(g.dtype, copy=False)
     probes /= np.linalg.norm(probes, axis=0)
     for i in range(n):
@@ -275,22 +273,17 @@ def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
             comm = g[i] @ (g[j] @ probes) - g[j] @ (g[i] @ probes)
             if np.abs(comm).max() > 1e-8 * scales[i] * scales[j]:
                 return None
-    diag = None
-    basis = None
+    diag = basis = None
     for _ in range(2):
         weights = rng.uniform(0.5, 1.5, size=n)
-        w, v = np.linalg.eigh(np.einsum("n,nij->ij", weights, g))
-        del w
+        v = np.linalg.eigh(np.einsum("n,nij->ij", weights, g))[1]
         cand = np.empty((n, d))
-        ok = True
         for i in range(n):
-            gv = g[i] @ v
-            cand[i] = np.einsum("ji,ji->i", v.conj(), gv).real
+            cand[i] = np.einsum("ji,ji->i", v.conj(), g[i] @ v).real
             recon = v @ (cand[i][:, None] * (v.conj().T @ probes))
             if np.abs(g[i] @ probes - recon).max() > 1e-8 * scales[i]:
-                ok = False
                 break
-        if ok:
+        else:
             diag, basis = cand, v
             break
     if diag is None:
@@ -302,13 +295,23 @@ def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
     for i in range(n):
         cols = basis[:, assign == i]
         if cols.shape[1]:
-            b = cols @ cols.conj().T
-            blocks[i] = (b + b.conj().T) / 2
+            # cols @ cols^dagger is one rank-k update (half a general product)
+            blocks[i] = _hermitize(cols @ cols.conj().T)
     resid_min = np.array([float((top - diag[i]).min()) for i in range(n)])
-    z = basis @ (top[:, None] * basis.conj().T)
-    z = (z + z.conj().T) / 2
-    gap = float(np.trace(z).real) - value
-    return value, blocks, z, gap, resid_min
+    z = _spectral(basis, top)
+    history = [(0, value, float(np.trace(z).real) - value, 0.0)]
+    return blocks, (value, z, resid_min, 0.0), 0, history, "commuting-eigenbasis"
+
+
+def _solve_stack(g: np.ndarray, opts: SolverOptions):
+    """Solve on the (n, D, D) stack ``g`` of objective operators: the
+    commuting fast path if it applies, else projected ascent.  Returns
+    ``(M, lifted, iterations, history, method)``: the POVM blocks, their
+    :func:`_dual_lift` (value, Z, residual minima, shift), and the rows
+    ``(iteration, value, gap, step)`` of :class:`OptimalityReport`.
+    """
+    fast = _try_commuting_solve(g, opts)
+    return _projected_ascent(g, opts) if fast is None else fast
 
 
 def solve_optimal_value(
@@ -340,32 +343,37 @@ def solve_optimal_value(
     bracket rests on a feasible measurement.
 
     Ensembles whose objective operators pairwise commute (e.g. mixtures of
-    operators sharing an eigenbasis) are solved exactly in one shot.
+    operators sharing an eigenbasis) are solved exactly in one shot, and
+    count as converged when ``|gap| <= gap_tol``.  The solve runs on arrays
+    (:func:`_solve_stack`); only the report's operators are built.
     """
     opts = opts or SolverOptions()
-    g = _objective_operators(ensemble, use_pt)
-    fast = _try_commuting_solve(g, opts)
-    if fast is None:
-        return _projected_ascent(g, ensemble.dims, opts)
-    value, blocks, z, gap, resid_min = fast
+    # the stack is freed before the report's operators are built and checked
+    m, lifted, iterations, history, method = _solve_stack(
+        _objective_operators(ensemble, use_pt), opts
+    )
+    value, z, resid_min, lam = lifted
+    h = z + lam * np.eye(z.shape[-1], dtype=z.dtype)
+    gap = float(np.trace(h).real) - value
+    dims = ensemble.dims
     return OptimalityReport(
         value=value,
-        povm=_wrap_povm(ensemble.dims, blocks),
-        dual_h=HermitianOperator(ensemble.dims, z),
+        povm=Povm(dims, tuple(HermitianOperator(dims, b) for b in m)),
+        dual_h=HermitianOperator(dims, h),
         gap=gap,
         residual_min_eigs=resid_min,
-        converged=abs(gap) <= opts.gap_tol,
-        iterations=0,
-        method="commuting-eigenbasis",
-        value_history=np.array([[0.0, value, gap, 0.0]]),
+        converged=(abs(gap) if method == "commuting-eigenbasis" else gap) <= opts.gap_tol,
+        iterations=iterations,
+        method=method,
+        value_history=np.array(history),
     )
 
 
-def _projected_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
-    """The iterative path of :func:`solve_optimal_value` on the stack ``g``."""
+def _projected_ascent(g: np.ndarray, opts: SolverOptions):
+    """The iterative path of :func:`_solve_stack`, with its return tuple."""
     n, d = g.shape[0], g.shape[-1]
     if n == 2:
-        return _two_state_ascent(g, dims, opts)
+        return _two_state_ascent(g, opts)
     g_norm = max(float(np.linalg.norm(g)), 1e-300)
     step = 2.0 / g_norm
     growing = True
@@ -395,10 +403,10 @@ def _projected_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
         )
         if growing:
             step *= 2
-    return _ascent_report(dims, m, lifted, iterations, history, opts)
+    return m, lifted, iterations, history, "projected-ascent"
 
 
-def _two_state_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
+def _two_state_ascent(g: np.ndarray, opts: SolverOptions):
     """:func:`_projected_ascent` for two states, in the eigenbasis of D.
 
     With D = G0 - G1 = v diag(w) v^dagger, the iterate after steps summing to
@@ -433,8 +441,7 @@ def _two_state_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
             # fixed: its gap cannot fall any further, so the run stops
             stalled = np.array_equal(f, checked)
             if not stalled:
-                m0 = (v * f) @ v.conj().T
-                m0 = (m0 + m0.conj().T) / 2
+                m0 = _spectral(v, f)
                 m = np.stack([m0, np.eye(d, dtype=m0.dtype) - m0])
                 lifted = _dual_lift(g, m)
                 value, _, _, lam = lifted
@@ -454,28 +461,7 @@ def _two_state_ascent(g: np.ndarray, dims: BipartiteDims, opts: SolverOptions):
         iterations += 1
         if step * g_norm < _MAX_STEP_NORM:
             step *= 2
-    return _ascent_report(dims, m, lifted, iterations, history, opts)
-
-
-def _ascent_report(dims, m, lifted, iterations, history, opts) -> OptimalityReport:
-    value, z, resid_min, lam = lifted
-    h = z + lam * np.eye(z.shape[-1], dtype=z.dtype)
-    gap = float(np.trace(h).real) - value
-    return OptimalityReport(
-        value=value,
-        povm=_wrap_povm(dims, m),
-        dual_h=HermitianOperator(dims, h),
-        gap=gap,
-        residual_min_eigs=resid_min,
-        converged=gap <= opts.gap_tol,
-        iterations=iterations,
-        method="projected-ascent",
-        value_history=np.array(history),
-    )
-
-
-def _wrap_povm(dims: BipartiteDims, blocks: np.ndarray) -> Povm:
-    return Povm(dims, tuple(HermitianOperator(dims, b) for b in blocks))
+    return m, lifted, iterations, history, "projected-ascent"
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,12 @@ copy's index, jointly with its outcome under a per-copy parity strategy, and
 a trial keeps only its running index sum and its outcome parity.  A global
 POVM's outcome is drawn once, after the copies, from the law of the trial's
 bin, the same table :func:`exact_strategy_success` reads; no n^L table of
-L-copy states is built.  Each run builds that table once, draws from it,
-and reads its own exact reference from it (see :class:`SimResult`): a
-run's ``analytic_reference`` equals :func:`exact_strategy_success` bit for
-bit, and is 1/n when the broadcast is withheld.  Memory is O(trials)
-whatever L.  Measured at 250,000 trials with parity on the Bell example
+L-copy states is built.  Each run builds that table once, from one
+convolution of the bin weights and, under parity, one per-copy Born table;
+it draws from the table and reads its own exact reference from it (see
+:class:`SimResult`): a run's ``analytic_reference`` equals
+:func:`exact_strategy_success` bit for bit, and is 1/n when the broadcast
+is withheld.  Memory is O(trials) whatever L.  Measured at 250,000 trials with parity on the Bell example
 (numpy 2.4.6, one thread, 2-core x86-64): 11-16 ns per copy and trial for
 broadcast, about 22 ns for direct encoding.
 """
@@ -46,7 +47,7 @@ from .ensembles import (
     _tensor_bins,
     is_mutually_orthogonal,
 )
-from .operators import HermitianOperator
+from .operators import HermitianOperator, _hermitize
 
 RNG_NAME = "numpy-philox"
 #: Eigenvalues above this span the support of a single-copy state.
@@ -139,8 +140,7 @@ def orthogonal_support_strategy(
     for eta, rho in ensemble.items:
         w, v = np.linalg.eigh(rho.entries)
         keep = v[:, w > _SUPPORT_TOL] if eta > 0.0 else v[:, :0]
-        p = keep @ keep.conj().T
-        projs.append((p + p.conj().T) / 2)
+        projs.append(_hermitize(keep @ keep.conj().T))
     blocks = _tensor_bins(projs, ensemble.dims, copies)
     # route the orthogonal remainder (if any) to outcome 0
     remainder = np.eye(dims.total, dtype=blocks[0].dtype) - sum(blocks)
@@ -263,16 +263,14 @@ def _draw_guesses(cfg: ProtocolConfig, rng, coarse, laws, state: np.ndarray) -> 
     trial, or 2-D with one row per value of ``state``, a (trials,) integer
     vector to which each drawn c is added in place.  Under
     parity, c and the copy's outcome o are drawn together, with one uniform,
-    from the 2n categories 2c + o of law(c) * P(o | c), and only the outcome
-    parity is kept; under a global POVM, whose outcome depends on the copies
-    only through the bin of their modulo-n sum, the outcome is drawn from
-    that bin's row of ``coarse``.  No (trials, copies) array and no n^L
-    table is built.
+    from the 2n categories 2c + o of law(c) * P(o | c), P(o | c) being the
+    per-copy Born table in ``coarse``, and only the outcome parity is kept;
+    under a global POVM, whose outcome depends on the copies only through
+    the bin of their modulo-n sum, the outcome is drawn from that bin's row
+    of ``coarse``.  No (trials, copies) array and no n^L table is built.
     """
-    ensemble = cfg.ensemble
-    strategy = cfg.strategy
-    if isinstance(strategy, PerCopyParityStrategy):
-        outcome = strategy.outcome_table(ensemble)
+    _, table, guesses, outcome = coarse
+    if outcome is not None:
         parity = np.zeros_like(state)
         for law in laws:
             joint = (law[..., None] * outcome).reshape(*law.shape[:-1], -1)
@@ -280,13 +278,10 @@ def _draw_guesses(cfg: ProtocolConfig, rng, coarse, laws, state: np.ndarray) -> 
             state += k >> 1
             parity ^= k & 1
         return parity
-    if isinstance(strategy, GlobalPovmStrategy):
-        _, table, guesses = coarse
-        start = state.copy()
-        for law in laws:
-            state += _sample_rows(rng, law, state)
-        return guesses[_sample_rows(rng, table, (state - start) % ensemble.n)]
-    raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
+    start = state.copy()
+    for law in laws:
+        state += _sample_rows(rng, law, state)
+    return guesses[_sample_rows(rng, table, (state - start) % cfg.ensemble.n)]
 
 
 def simulate_broadcast_scheme(
@@ -326,8 +321,10 @@ def _direct_laws(etas: np.ndarray, copies: int):
     With P_m(r) the chance that m indices sum to r (mod n), the copy drawn
     while m copies, itself included, remain to be drawn with sum r has index
     c with chance eta_c P_{m-1}(r - c) / P_m(r) (a zero row for an empty
-    bin); P_m is the cyclic convolution of P_{m-1} with eta.  A trial's row
-    is its unreduced state s = n - x + (sum drawn so far), which starts at
+    bin); P_m is the cyclic convolution of P_{m-1} with eta, summed in the
+    order of :func:`pthide.ensembles._mod_sum_bins`, so P_L is bit for bit
+    the bin weights :func:`_coarse_table` would convolve.  A trial's row is
+    its unreduced state s = n - x + (sum drawn so far), which starts at
     n - x and only grows, to at most n + (n-1) L: row s is the law for
     r = -s (mod n), repeated periodically over n (L + 1) rows, so no draw
     reduces modulo n.
@@ -339,7 +336,7 @@ def _direct_laws(etas: np.ndarray, copies: int):
     laws = []
     for _ in range(copies):
         joint = bins[shift] * etas
-        bins = joint.sum(axis=1)
+        bins = joint.cumsum(axis=1)[:, -1]
         laws.append((joint / np.where(bins > 0.0, bins, 1.0)[:, None])[rows])
     return bins, laws[::-1]
 
@@ -361,9 +358,9 @@ def simulate_direct_encoding(
     refused before any draw.
     """
     n = cfg.ensemble.n
-    coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, cap)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
     bin_eta, laws = _direct_laws(cfg.ensemble.probabilities, cfg.copies)
+    coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, cap, bin_eta)
+    rng = np.random.Generator(np.random.Philox(cfg.seed))
     if x is None:
         if np.any(bin_eta <= 0.0):
             raise ValueError("a coarse bin has zero probability; direct encoding undefined")
@@ -379,14 +376,17 @@ def simulate_direct_encoding(
     return _finish(x_guess == xs, cfg, "direct-encoding", reference)
 
 
-def _coarse_table(ensemble: StateEnsemble, copies: int, strategy, cap: int | None):
-    """Bin weights, P(outcome | bin) (zero rows for empty bins) and the guess
-    of each outcome.  The bins convolve over the copies: for parity the
-    vectors eta_c * P(outcome | c), outcomes adding modulo 2; for a global
-    POVM the states eta_c * rho_c, as in :func:`pthide.ensembles.coarse_grain`.
+def _coarse_table(ensemble: StateEnsemble, copies: int, strategy, cap: int | None, bin_eta=None):
+    """Bin weights (``bin_eta`` if the caller has them), P(outcome | bin)
+    (zero rows for empty bins), the guess of each outcome, and the per-copy
+    P(outcome | c) under parity (None for a global POVM).  The bins convolve
+    over the copies: for parity the vectors eta_c * P(outcome | c), outcomes
+    adding modulo 2; for a global POVM the states eta_c * rho_c, as in
+    :func:`pthide.ensembles.coarse_grain`.
     """
     etas = ensemble.probabilities
-    bin_eta = np.array(_mod_sum_bins(etas, copies))
+    if bin_eta is None:
+        bin_eta = np.array(_mod_sum_bins(etas, copies))
     full = bin_eta > 0.0
     if isinstance(strategy, PerCopyParityStrategy):
         per_copy = strategy.outcome_table(ensemble)
@@ -397,7 +397,7 @@ def _coarse_table(ensemble: StateEnsemble, copies: int, strategy, cap: int | Non
         )
         table = np.zeros((ensemble.n, 2))
         table[full] = np.array(joint)[full] / bin_eta[full, None]
-        return bin_eta, table, np.arange(2)
+        return bin_eta, table, np.arange(2), per_copy
     if isinstance(strategy, GlobalPovmStrategy):
         if ensemble.dims.total**copies != strategy.povm.dims.total:
             raise ValueError("POVM dims do not match the folded ensemble")
@@ -407,7 +407,7 @@ def _coarse_table(ensemble: StateEnsemble, copies: int, strategy, cap: int | Non
         states = (b / eta for b, eta in zip(bins, bin_eta) if eta > 0.0)
         table = np.zeros((ensemble.n, strategy.povm.n_outcomes))
         table[full] = _born_table(states, [m.entries for m in strategy.povm.elements])
-        return bin_eta, table, strategy.guesses
+        return bin_eta, table, strategy.guesses, None
     raise TypeError(f"unsupported strategy type {type(strategy).__name__}")
 
 
@@ -440,7 +440,7 @@ def _exact_success(coarse, scheme: str, x: int | None = None) -> float:
     encoding refuses them.  The value is clipped into [0, 1], which a
     certain strategy can overshoot by rounding.
     """
-    bin_eta, table, guesses = coarse
+    bin_eta, table, guesses, _ = coarse
     hit = (table * (guesses == np.arange(len(bin_eta))[:, None])).sum(axis=1)
     if scheme == "broadcast":
         success = bin_eta @ hit

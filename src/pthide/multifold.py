@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrimination import SolverOptions, qg_two_state, solve_optimal_value, trace_norm
-from .discrimination import _weighted_difference
+from .discrimination import SolverOptions, _difference_norm, qg_two_state, solve_optimal_value
 from .ensembles import StateEnsemble, is_mutually_orthogonal
 
 _BOUND_SLACK = 1e-12
@@ -41,12 +40,9 @@ def qg_level_two_state(ensemble: StateEnsemble, copies: int) -> float:
     ``t`` is the trace norm of the weighted partial-transpose difference of
     the single-copy pair, i.e. twice the single-copy value minus one.
     """
-    if ensemble.n != 2:
-        raise ValueError("closed form requires exactly two states")
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    t = trace_norm(_weighted_difference(ensemble, use_pt=True))
-    return 0.5 + 0.5 * t**copies
+    return 0.5 + 0.5 * _difference_norm(ensemble, use_pt=True) ** copies
 
 
 def qg_level_upper_bound(qg: float, n: int, copies: int) -> float:

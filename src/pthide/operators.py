@@ -10,6 +10,9 @@ Operators are stored densely.  Real symmetric matrices are kept in
 ``float64`` (they are Hermitian as-is); anything else is ``complex128``.
 Keeping real inputs real halves the memory and roughly quadruples
 eigensolver throughput, which matters for the larger multifold checks.
+Inside the package, work is done on (D, D) arrays and (n, D, D) stacks
+(:func:`_pt`, :func:`_spectral`, :func:`_hermitize`); a checked
+:class:`HermitianOperator` is built only where a public function returns one.
 """
 
 from __future__ import annotations
@@ -115,11 +118,14 @@ def partial_transpose(a: HermitianOperator) -> HermitianOperator:
     The map is a linear involution, preserves the trace and Hermiticity,
     and acts factorwise on tensor products.
     """
-    dA, dB = a.dims.dA, a.dims.dB
-    d = a.dims.total
-    t = a.entries.reshape(dA, dB, dA, dB)
-    out = t.transpose(0, 3, 2, 1).reshape(d, d)
-    return HermitianOperator(a.dims, out.copy())
+    return HermitianOperator(a.dims, _pt(a.entries, a.dims))
+
+
+def _pt(x: np.ndarray, dims: BipartiteDims) -> np.ndarray:
+    """:func:`partial_transpose` of a (D, D) array or an (n, D, D) stack, as a
+    new array of the same shape and dtype."""
+    t = x.reshape(*x.shape[:-2], dims.dA, dims.dB, dims.dA, dims.dB)
+    return t.swapaxes(-3, -1).copy().reshape(x.shape)
 
 
 def abs_op(e: HermitianOperator) -> HermitianOperator:
@@ -138,14 +144,22 @@ def negative_part(e: HermitianOperator) -> HermitianOperator:
 
 
 def _eig_apply(x: np.ndarray, f) -> np.ndarray:
-    """``v f(w) v^dagger`` for a Hermitian matrix (or a stack of them) ``x = v w v^dagger``.
-
-    The result is Hermitized to kill the anti-Hermitian rounding noise left by
-    the eigenbasis reconstruction.
-    """
+    """``v f(w) v^dagger`` for a Hermitian matrix (or a stack of them) ``x = v w v^dagger``."""
     w, v = np.linalg.eigh(x)
-    out = (v * f(w)[..., None, :]) @ np.conjugate(np.swapaxes(v, -1, -2))
-    return (out + np.conjugate(np.swapaxes(out, -1, -2))) / 2
+    return _spectral(v, f(w))
+
+
+def _spectral(v: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """The Hermitized ``v diag(fw) v^dagger``, for one matrix or a stack."""
+    return _hermitize((v * fw[..., None, :]) @ v.swapaxes(-1, -2).conj())
+
+
+def _hermitize(x: np.ndarray) -> np.ndarray:
+    """``(x + x^dagger) / 2`` for one matrix or a stack: removes the
+    anti-Hermitian rounding noise of a product or an eigenbasis
+    reconstruction.  ``ndarray.conj()`` returns a real array itself, where
+    ``np.conjugate`` would copy it."""
+    return (x + x.swapaxes(-1, -2).conj()) / 2
 
 
 def is_psd(e: HermitianOperator, tol: float | None = None) -> tuple[bool, float]:

@@ -244,6 +244,19 @@ def test_hide_sim_withheld_broadcast_reference_is_chance(capsys):
     assert abs(payload["z_score"]) <= 5.0
 
 
+def test_hide_sim_direct_encoding_and_withheld_broadcast_exit_2(capsys):
+    # direct encoding publishes no broadcast to withhold: the pair is refused
+    # instead of printing the direct-encoding result under both settings
+    code, out, err = run(
+        capsys,
+        "hide-sim", "--ensemble", "bell-example1", "--L", "2", "--trials", "2000",
+        "--direct-encoding", "--withhold-broadcast",
+    )
+    assert code == 2
+    assert out == ""
+    assert "not allowed with" in err
+
+
 def test_hide_sim_builds_the_bin_table_once(capsys, monkeypatch):
     # the run draws from the side-D^L bin table and reads its reference off
     # the same table: one build per run

@@ -25,7 +25,7 @@ from pthide import (
 )
 from pthide.constructions import bell_state, example1, example2
 from pthide.discrimination import _MAX_STEP_NORM, _dual_lift, _objective_operators
-from pthide.discrimination import _projected_ascent
+from pthide.discrimination import _projected_ascent, _solve_stack
 from pthide.operators import _eig_apply
 
 from conftest import random_ensemble, random_hermitian, random_povm, random_state
@@ -150,12 +150,68 @@ def test_fast_path_agrees_with_generic_on_commuting_input():
     res = example2(d=3, m=2, n=3)
     fast = solve_optimal_value(res.ensemble, use_pt=True)
     g = _objective_operators(res.ensemble, use_pt=True)
-    slow = _projected_ascent(g, res.ensemble.dims, SolverOptions(gap_tol=1e-8))
+    _, (slow_value, *_), _, _, slow_method = _projected_ascent(g, SolverOptions(gap_tol=1e-8))
     assert fast.method == "commuting-eigenbasis"
-    assert slow.method == "projected-ascent"
+    assert slow_method == "projected-ascent"
     assert fast.value_history.shape == (1, 4)
-    assert abs(fast.value - slow.value) < 1e-6
+    assert abs(fast.value - slow_value) < 1e-6
     assert abs(fast.value - 0.5) < 1e-12  # exact rational optimum for these params
+
+
+def _three_path_cases():
+    """One ensemble per solver path: the commuting fast path, the two-state
+    eigenbasis ascent and the Dykstra ascent."""
+    rng = np.random.default_rng(29)
+    return [
+        (example2(d=3, m=1, n=2).ensemble, "commuting-eigenbasis"),
+        (random_two_state_ensemble(rng), "projected-ascent"),
+        (random_ensemble(rng, 3), "projected-ascent"),
+    ]
+
+
+def test_solve_stack_is_solve_optimal_value_on_the_raw_stack():
+    opts = SolverOptions(gap_tol=1e-7, max_iters=200)
+    for e, method in _three_path_cases():
+        for use_pt in (True, False):
+            rep = solve_optimal_value(e, use_pt=use_pt, opts=opts)
+            m, lifted, iterations, history, got = _solve_stack(
+                _objective_operators(e, use_pt), opts
+            )
+            value, z, _, lam = lifted
+            gap = float(np.trace(z + lam * np.eye(e.dims.total)).real) - value
+            assert rep.method == got == method
+            assert (value, gap, iterations) == (rep.value, rep.gap, rep.iterations)
+            assert np.array_equal(np.array(history), rep.value_history)
+            assert np.array_equal(m, [el.entries for el in rep.povm.elements])
+
+
+def test_operators_are_built_only_where_they_are_returned(monkeypatch):
+    # the solver and the closed forms work on arrays: a solve wraps its n
+    # POVM elements and its dual, and the closed forms and the certificates
+    # wrap nothing
+    built = []
+    post_init = HermitianOperator.__post_init__
+
+    def counted(self):
+        built.append(self.dims)
+        post_init(self)
+
+    cases = _three_path_cases()
+    pair = cases[1][0]
+    povm = helstrom_measurement(pair, use_pt=True)
+    h = solve_optimal_value(pair).dual_h
+    monkeypatch.setattr(HermitianOperator, "__post_init__", counted)
+    for e, _ in cases:
+        built.clear()
+        solve_optimal_value(e, opts=SolverOptions(gap_tol=1e-7, max_iters=200))
+        assert len(built) == e.n + 1
+    built.clear()
+    qg_two_state(pair)
+    helstrom_two_state(pair)
+    qg_level_two_state(pair, 3)
+    certify_optimal(pair, povm)
+    dual_bound(pair, h)
+    assert built == []
 
 
 def test_fast_path_not_taken_for_generic_states():

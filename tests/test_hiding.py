@@ -269,6 +269,43 @@ def test_protocol_config_validation(bell_ensemble, optimal_parity):
         ProtocolConfig(ensemble=bell_ensemble, copies=1, trials=0, seed=1, strategy=optimal_parity)
 
 
+def test_one_bin_convolution_and_one_born_table_per_run(
+    monkeypatch, bell_ensemble, correlation_parity
+):
+    # the draws and the reference of a run read one convolution of the bin
+    # weights and, under parity, one evaluation of the per-copy Born table
+    from pthide import hiding
+
+    calls = {"bins": 0, "born": 0}
+    mod_sum_bins, direct_laws = hiding._mod_sum_bins, hiding._direct_laws
+    outcome_table = PerCopyParityStrategy.outcome_table
+
+    def bins(factors, copies, *args):
+        calls["bins"] += np.ndim(factors[0]) == 0  # the weights, not the Born rows
+        return mod_sum_bins(factors, copies, *args)
+
+    def laws(*args):
+        calls["bins"] += 1
+        return direct_laws(*args)
+
+    def born(self, ensemble):
+        calls["born"] += 1
+        return outcome_table(self, ensemble)
+
+    monkeypatch.setattr(hiding, "_mod_sum_bins", bins)
+    monkeypatch.setattr(hiding, "_direct_laws", laws)
+    monkeypatch.setattr(PerCopyParityStrategy, "outcome_table", born)
+    support = orthogonal_support_strategy(bell_ensemble, 3)
+    for strategy, born_calls in ((correlation_parity, 1), (support, 0)):
+        cfg = ProtocolConfig(
+            ensemble=bell_ensemble, copies=3, trials=1000, seed=5, strategy=strategy
+        )
+        for simulate in (simulate_broadcast_scheme, simulate_direct_encoding):
+            calls.update(bins=0, born=0)
+            simulate(cfg)
+            assert calls == {"bins": 1, "born": born_calls}
+
+
 def test_simulation_reproducible(bell_ensemble, optimal_parity):
     cfg = ProtocolConfig(
         ensemble=bell_ensemble, copies=2, trials=10_000, seed=99, strategy=optimal_parity
@@ -457,7 +494,7 @@ def test_coarse_table_is_the_bin_average_of_born_rows(etas, copies, outcomes, se
     e = StateEnsemble(D22, tuple((eta, random_state(D22, rng)) for eta in etas))
     dims = BipartiteDims(2**copies, 2**copies)
     strat = GlobalPovmStrategy(random_povm(rng, dims, outcomes), rng.integers(0, n, outcomes))
-    bin_eta, table, guesses = _coarse_table(e, copies, strat, None)
+    bin_eta, table, guesses, _ = _coarse_table(e, copies, strat, None)
     assert table.shape == (n, outcomes)
     assert np.array_equal(guesses, strat.guesses)
     total = np.zeros((n, outcomes))

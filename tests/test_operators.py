@@ -17,6 +17,7 @@ from pthide import (
     trace_norm,
 )
 from pthide.constructions import bell_state
+from pthide.operators import _pt
 
 from conftest import random_hermitian
 
@@ -171,6 +172,32 @@ def test_pt_acts_factorwise_bit_exactly(local, complex_entries, seed):
     rhs = tensor(partial_transpose(a), partial_transpose(b)).entries
     assert lhs.dtype == rhs.dtype
     assert np.array_equal(lhs, rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    local=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    n=st.integers(1, 4),
+    complex_entries=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_pt_equals_partial_transpose_slice_by_slice(local, n, complex_entries, seed):
+    # the stack is transposed in one call, with the floats of transposing
+    # each slice; each slice also matches the entry formula
+    # out[(a, b), (c, d)] = x[(a, d), (c, b)]
+    dims = BipartiteDims(*local)
+    rng = np.random.default_rng(seed)
+    ops = [random_hermitian(dims, rng, complex_entries) for _ in range(n)]
+    stack = np.stack([op.entries for op in ops])
+    got = _pt(stack, dims)
+    assert got.shape == stack.shape and got.dtype == stack.dtype
+    assert not np.shares_memory(got, stack)
+    idx = np.indices((dims.dA, dims.dB)).reshape(2, -1)
+    a, b = idx[0][:, None], idx[1][:, None]
+    c, d = idx[0][None, :], idx[1][None, :]
+    for op, out in zip(ops, got):
+        assert np.array_equal(out, partial_transpose(op).entries)
+        assert np.array_equal(out, op.entries[a * dims.dB + d, c * dims.dB + b])
 
 
 def test_tensor_dimension_cap():
