@@ -28,11 +28,14 @@ from .operators import _eig_apply, _hermitize, _pt, _spectral
 POVM_PSD_TOL = 1e-9
 POVM_COMPLETENESS_TOL = 1e-9
 CERTIFY_TOL = 1e-8
-#: Dykstra's projection (more than two outcomes) stops once a sweep moves the
-#: iterate by at most _DYKSTRA_TOL * (1 + ||x||), and fails after
-#: _DYKSTRA_MAX_SWEEPS sweeps.
-_DYKSTRA_MAX_SWEEPS = 200
-_DYKSTRA_TOL = 1e-12
+#: The log-det barrier (:func:`_barrier`): the factor on t per centring, the
+#: CG tolerance, and the line search's Armijo fraction, full-step threshold
+#: and step floor (:func:`_line_search`).
+_T_FACTOR = 20.0
+_CG_TOL = 1e-2
+_ARMIJO = 0.25
+_FULL_STEP = 1.0 / 16
+_MIN_STEP = 2.0**-20
 #: Past this value of step * ||G||, M is lost to rounding in M + step * G.
 _MAX_STEP_NORM = 1.0 / np.finfo(float).eps
 
@@ -147,9 +150,11 @@ class SolverOptions:
     certified gap at which a run stops, and the seed of the commuting fast
     path's random probes.
 
-    The step schedule has no knobs of its own: it starts at ``2 / ||G||``
-    and doubles after every accepted projection (see
-    :func:`solve_optimal_value`).
+    ``max_iters`` counts ascent steps for two states and Newton steps for
+    more.  Neither path has other knobs: the two-state step starts at
+    ``2 / ||G||`` and doubles every iteration, and the barrier's constants
+    (``_T_FACTOR``, ``_CG_TOL`` and the line search's) are fixed in the
+    module (see :func:`solve_optimal_value`).
     """
 
     max_iters: int = 100_000
@@ -171,10 +176,13 @@ class OptimalityReport:
     optimum: ``dual_H`` is feasible by construction, so the true optimum lies
     in ``[value, value + gap]`` whether or not the run converged.
 
-    ``value_history`` has one row ``(iteration, value, gap, step)`` per
-    checked iterate: its value and certified gap, and the step the next
-    projection tries from it.  A rejected projection repeats the iterate
-    with half the step.  The commuting fast path reports one row with step 0.
+    ``value_history`` has one row per checked iterate: its iteration, its
+    value and certified gap, and a fourth column that depends on
+    ``method``.  For two states (``"projected-ascent"``) it is the step the
+    next iteration takes; for more (``"log-det-barrier"``) it is the barrier
+    parameter t of the centring that produced the iterate, with the
+    iteration counted in Newton steps.  The commuting fast path
+    (``"commuting-eigenbasis"``) reports one row with 0 there.
     """
 
     value: float
@@ -188,53 +196,21 @@ class OptimalityReport:
     value_history: np.ndarray = field(repr=False, default=None)
 
 
-def _psd_clip(x: np.ndarray) -> np.ndarray:
-    return _eig_apply(x, lambda w: np.maximum(w, 0.0))
-
-
-def _project_completeness(x: np.ndarray) -> np.ndarray:
-    n, d = x.shape[0], x.shape[-1]
-    resid = x.sum(axis=0) - np.eye(d, dtype=x.dtype)
-    return x - resid[None, :, :] / n
-
-
-def _project_povm_set(x: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """Project a block tuple onto {M_i PSD, sum_i M_i = identity}.
-
-    Returns the projection and the number of Dykstra sweeps it took, or None
-    if it did not converge.  One state never comes here (its single operator
-    commutes with itself, so :func:`_try_commuting_solve` solves it), and
-    two states never do either: :func:`_two_state_ascent` solves them in the
-    eigenbasis of G0 - G1.  Dykstra's alternating scheme, between the PSD
-    cone product and the completeness subspace (the affine set needs no
-    correction term), serves n > 2 only; it converges once a sweep moves the
-    iterate by at most ``_DYKSTRA_TOL * (1 + ||x||)``, if it does so within
-    ``_DYKSTRA_MAX_SWEEPS``.
-    """
-    scale = 1.0 + float(np.linalg.norm(x))
-    cur = x
-    correction = np.zeros_like(x)
-    for sweep in range(1, _DYKSTRA_MAX_SWEEPS + 1):
-        clipped = _psd_clip(cur + correction)
-        correction = cur + correction - clipped
-        nxt = _project_completeness(clipped)
-        delta = float(np.linalg.norm(nxt - cur))
-        cur = nxt
-        if delta <= _DYKSTRA_TOL * scale:
-            return cur, sweep
-    return cur, None
-
-
 def _repair_povm(m: np.ndarray) -> np.ndarray:
     """Make a nearly feasible block tuple a POVM to rounding.
 
-    Dykstra ends on the completeness projection, so its elements can have
-    eigenvalues slightly below zero.  Clipping them and renormalizing by
+    The barrier's M_i = (H - G_i)^{-1} / t sum to the identity only at a
+    centre.  Clipping negative eigenvalues and renormalizing by
     ``S^{-1/2} M_i S^{-1/2}`` with ``S = sum_i M_i`` restores both
     positivity and completeness, so the reported value is a true lower bound.
+    Raises ``LinAlgError`` when S is singular to rounding (or not finite),
+    where ``S^{-1/2}`` would be inf or NaN.
     """
-    m = _psd_clip(m)
-    r = _eig_apply(m.sum(axis=0), lambda w: 1.0 / np.sqrt(w))
+    m = _eig_apply(m, lambda w: np.maximum(w, 0.0))
+    w, v = np.linalg.eigh(m.sum(axis=0))
+    if not w[0] > np.finfo(float).eps * w[-1]:
+        raise np.linalg.LinAlgError("sum of the POVM elements is singular")
+    r = _spectral(v, 1.0 / np.sqrt(w))
     return _hermitize(r @ m @ r)
 
 
@@ -305,13 +281,17 @@ def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
 
 def _solve_stack(g: np.ndarray, opts: SolverOptions):
     """Solve on the (n, D, D) stack ``g`` of objective operators: the
-    commuting fast path if it applies, else projected ascent.  Returns
+    commuting fast path if it applies, else the two-state ascent or, for
+    more states, the log-det barrier.  Returns
     ``(M, lifted, iterations, history, method)``: the POVM blocks, their
-    :func:`_dual_lift` (value, Z, residual minima, shift), and the rows
-    ``(iteration, value, gap, step)`` of :class:`OptimalityReport`.
+    :func:`_dual_lift` (value, dual base Z, residual minima, shift; the
+    reported dual is ``Z + shift * I``), and the rows of
+    :attr:`OptimalityReport.value_history`.
     """
     fast = _try_commuting_solve(g, opts)
-    return _projected_ascent(g, opts) if fast is None else fast
+    if fast is not None:
+        return fast
+    return _two_state_ascent(g, opts) if g.shape[0] == 2 else _barrier(g, opts)
 
 
 def solve_optimal_value(
@@ -319,28 +299,29 @@ def solve_optimal_value(
 ) -> OptimalityReport:
     """Maximize the (optionally partially transposed) guessing objective.
 
-    Projected gradient ascent over the POVM set: the gradient of the linear
-    objective is the constant block tuple G = (eta_i * A_i); each step
-    projects ``M + step * G`` back onto {M_i PSD, sum M_i = identity}, and
-    the dual candidate's certified gap is checked after every step.  The run
-    stops once that gap is at most ``gap_tol``.  A non-converged run is
+    With G = (eta_i * A_i), the run stops once the certified gap of its
+    current POVM and dual is at most ``gap_tol``.  A non-converged run is
     reported as such, never silently truncated: the returned value/gap pair
-    still brackets the optimum.
+    still brackets the optimum.  ``method`` names the path taken.
 
-    The step starts at ``2 / ||G||`` and doubles after every accepted
-    projection.  This is sound because the objective is linear: a projected
-    step never lowers it, whatever its length.  For two states every iterate
-    is a function of D = G0 - G1, namely M0 = clip(1/2 + S D / 2, 0, 1) with
-    S the sum of the steps so far, so the certified gap is at most
-    dim / (8 S) and doubling reaches ``gap_tol`` in a few dozen steps.  Two
-    states are therefore solved in D's eigenbasis, with one ``eigh`` per
-    solve (see :func:`_two_state_ascent`).  For more states the projection
-    is Dykstra's, which needs more sweeps the longer the step, so the step
-    stops growing once a projection used over half of
-    ``_DYKSTRA_MAX_SWEEPS``; a projection that does not converge at all is
-    rejected, and the step is halved and no longer grows.  Dykstra results
-    are repaired into exact POVMs before the gap is checked, so the reported
-    bracket rests on a feasible measurement.
+    Two states (``"projected-ascent"``): projected gradient ascent with a
+    step that starts at ``2 / ||G||`` and doubles every iteration.  This is
+    sound because the objective is linear: a projected step never lowers
+    it, whatever its length.  Every iterate is a function of D = G0 - G1,
+    namely M0 = clip(1/2 + S D / 2, 0, 1) with S the sum of the steps so
+    far, so the certified gap is at most dim / (8 S) and doubling reaches
+    ``gap_tol`` in a few dozen steps.  The ascent runs in D's eigenbasis,
+    with one ``eigh`` per solve (see :func:`_two_state_ascent`).
+
+    More states (``"log-det-barrier"``): the dual barrier method (Boyd &
+    Vandenberghe, *Convex Optimization*, ch. 11) on min Tr H s.t. H >= G_i
+    (Eldar, Megretski & Verghese, IEEE TIT 49, 1007 (2003)), by damped
+    Newton with CG directions; ``max_iters`` counts Newton steps and the
+    history's fourth column holds t (see :func:`_barrier`).  Seeded random
+    n = 3 and 4 ensembles on 2x3 reach ``gap_tol=1e-7`` in 27 Newton steps
+    at the median, 38 at most (120 instances), and 7-10 ms.  The reported POVM
+    is repaired to an exact one, so the bracket rests on a feasible
+    measurement and a checked dual.
 
     Ensembles whose objective operators pairwise commute (e.g. mixtures of
     operators sharing an eigenbasis) are solved exactly in one shot, and
@@ -369,52 +350,150 @@ def solve_optimal_value(
     )
 
 
-def _projected_ascent(g: np.ndarray, opts: SolverOptions):
-    """The iterative path of :func:`_solve_stack`, with its return tuple."""
+def _barrier(g: np.ndarray, opts: SolverOptions):
+    """The n > 2 path of :func:`_solve_stack`, with its return tuple.
+
+    Damped Newton steps (:func:`_newton_direction`, :func:`_line_search`) on
+    ``t Tr H - sum_i log det(H - G_i)`` centre H, then t grows by
+    ``_T_FACTOR``.  At a centre the M_i = (H - G_i)^{-1} / t sum to I; a
+    centring ends once ``||sum_i M_i - I||_F^2 <= n D / t``, or when the
+    Newton decrement stops falling in the full-step phase (rounding).  Then
+    :func:`_repair_povm` makes the M_i a POVM and the dual is its
+    :func:`_dual_lift` or H itself (factored by Cholesky), whichever has the
+    smaller trace: near the optimum H's gap stays at about n D / t while the
+    lift's is held up by the centring residual (1.4e-10 against 1.5e-7 on
+    one n = 4 instance at t = 1.8e11).  ``iterations`` counts Newton steps.
+    The run stops at ``gap_tol`` or ``max_iters``, or unconverged at the
+    line search's step floor, a singular POVM sum or a gap no lower than
+    the last, returning the last bracket that improved.  History rows are
+    ``(iteration, value, gap, t)``.
+    """
     n, d = g.shape[0], g.shape[-1]
-    if n == 2:
-        return _two_state_ascent(g, opts)
-    g_norm = max(float(np.linalg.norm(g)), 1e-300)
-    step = 2.0 / g_norm
-    growing = True
-    m = np.broadcast_to(np.eye(d, dtype=g.dtype) / n, g.shape).copy()
-    lifted = _dual_lift(g, m)
-    history = []
-    iterations = 0
+    eye = np.eye(d, dtype=g.dtype)
+    h = (np.linalg.eigvalsh(g)[:, -1].max() + np.linalg.norm(g)) * eye
+    chol = np.linalg.cholesky(h - g)
+    y, logdet = _cholesky_inverse(chol), _log_det(chol)
+    t = float(np.trace(y.sum(axis=0)).real) / d  # the most central t for H
+    history, best, iterations, stalled = [], None, 0, False
     while True:
-        value, _, _, lam = lifted
-        history.append((iterations, value, lam * d, step))
-        if lam * d <= opts.gap_tol or iterations >= opts.max_iters:
+        try:
+            m = _repair_povm(y / t)
+        except np.linalg.LinAlgError:
             break
-        nxt, sweeps = _project_povm_set(m + step * g)
-        iterations += 1
-        if sweeps is None:
+        value, z, resid_min, lam = _dual_lift(g, m)
+        if float(np.trace(h).real) - value < lam * d:
+            z, lam = h, 0.0
+        gap = float(np.trace(z + lam * eye).real) - value
+        if history and gap >= history[-1][2]:
+            break
+        history.append((iterations, value, gap, t))
+        best = m, (value, z, resid_min, lam)
+        if gap <= opts.gap_tol or iterations >= opts.max_iters or stalled:
+            break
+        t *= _T_FACTOR
+        decrement = np.inf  # the squared Newton decrement of the last step
+        while iterations < opts.max_iters:
+            total = y.sum(axis=0)
+            if np.linalg.norm(total / t - eye) ** 2 <= n * d / t:
+                break
+            grad = t * eye - total
+            delta = _newton_direction(y, grad)
+            slope = float(np.vdot(grad, delta).real)  # minus its decrement
+            if -slope < _FULL_STEP and -slope >= decrement:
+                break
+            decrement = -slope
+            iterations += 1
+            found = _line_search(g, h, delta, t, logdet, slope)
+            if found is None:
+                stalled = True
+                break
+            h, chol, logdet = found
+            y = _cholesky_inverse(chol)
+    m, lifted = best
+    return m, lifted, history[-1][0], history, "log-det-barrier"
+
+
+def _line_search(g, h, delta, t, logdet, slope):
+    """Armijo backtracking on the barrier from the full Newton step: the new
+    H, the Cholesky factors of H - G_i and their log det, or None below
+    ``_MIN_STEP``.  Once the squared decrement ``-slope`` is below
+    ``_FULL_STEP`` (where rounding hides the barrier's change at large t) the
+    first feasible step is taken."""
+    step = 1.0
+    while step >= _MIN_STEP:
+        trial = h + step * delta
+        try:
+            chol = np.linalg.cholesky(trial - g)
+        except np.linalg.LinAlgError:
             step /= 2
-            growing = False
             continue
-        m = _repair_povm(nxt)
-        lifted = _dual_lift(g, m)
-        # Dykstra's sweep count climbs with the step, so a projection that
-        # needed over half the budget would likely fail at twice the step.
-        growing = (
-            growing
-            and 2 * sweeps <= _DYKSTRA_MAX_SWEEPS
-            and step * g_norm < _MAX_STEP_NORM
-        )
-        if growing:
-            step *= 2
-    return m, lifted, iterations, history, "projected-ascent"
+        trial_logdet = _log_det(chol)
+        # the barrier's change, its t Tr H term taken as a difference
+        change = t * step * float(np.trace(delta).real) - (trial_logdet - logdet)
+        if -slope < _FULL_STEP or change <= _ARMIJO * step * slope:
+            return trial, chol, trial_logdet
+        step /= 2
+    return None
+
+
+def _log_det(chol: np.ndarray) -> float:
+    """sum_i log det(L_i L_i^dagger) for a stack of Cholesky factors."""
+    return 2.0 * float(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real).sum())
+
+
+def _cholesky_inverse(chol: np.ndarray) -> np.ndarray:
+    """(L L^dagger)^{-1} = W^dagger W with W = L^{-1}, for a stack: positive
+    semidefinite by construction, however ill-conditioned L is."""
+    w = np.linalg.inv(chol)
+    return _hermitize(w.swapaxes(-1, -2).conj() @ w)
+
+
+def _newton_direction(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve ``sum_i Y_i delta Y_i = -grad`` by preconditioned CG, with the
+    Hessian applied as one batched product (the D^2 x D^2 matrix is never
+    formed) and the inner product ``Re Tr(A^dagger B)``.  CG runs in the
+    eigenbasis of ``sum_i (i + 1) Y_i``, where the preconditioner divides
+    entry (a, b) by ``sum_i a_ia a_ib``, a_i the diagonal of Y_i there (exact
+    when the Y_i commute), until the preconditioned residual norm has fallen
+    by ``_CG_TOL``."""
+    n, d = y.shape[0], y.shape[-1]
+    _, v = np.linalg.eigh(np.einsum("i,ijk->jk", np.arange(1.0, n + 1), y))
+    vh = v.conj().T
+    yv = vh @ y @ v
+    a = np.diagonal(yv, axis1=-2, axis2=-1).real
+    precond = a.T @ a
+    r = -(vh @ grad @ v)
+    x = np.zeros_like(r)
+    z = r / precond
+    p = z
+    rz = float(np.vdot(r, z).real)
+    stop = _CG_TOL**2 * rz
+    for _ in range(d * d):  # CG's bound in exact arithmetic
+        if rz <= stop:
+            break
+        hp = (yv @ p @ yv).sum(axis=0)
+        curvature = float(np.vdot(p, hp).real)
+        if curvature <= 0.0:
+            break
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * hp
+        z = r / precond
+        rz, rz_old = float(np.vdot(r, z).real), rz
+        p = z + (rz / rz_old) * p
+    return _hermitize(v @ x @ vh)
 
 
 def _two_state_ascent(g: np.ndarray, opts: SolverOptions):
-    """:func:`_projected_ascent` for two states, in the eigenbasis of D.
+    """Projected ascent for two states, in the eigenbasis of D.
 
     With D = G0 - G1 = v diag(w) v^dagger, the iterate after steps summing to
     S is M0 = v diag(f) v^dagger, f = clip(1/2 + S w / 2, 0, 1), and
     M1 = I - M0.  In that basis Z = G1 + D M0, so the value is Tr G1 + w . f,
     and the residuals Z - G0 = -D (I - M0) and Z - G1 = D M0 are diagonal
-    with entries -w (1 - f) and w f.  The step schedule and the stopping test
-    are those of the general loop, run on these eigenvalues.  The iterate at
+    with entries -w (1 - f) and w f.  The step doubles every iteration, and
+    the run stops once ``lam * D <= gap_tol`` (lam the worst residual
+    violation) or at ``max_iters``, all on these eigenvalues.  The iterate at
     which they stop is built as matrices, and its value, residuals, dual and
     gap come from :func:`_dual_lift`.  If rounding leaves that gap above
     ``gap_tol``, the loop goes on and checks every further iterate the same

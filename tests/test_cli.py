@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from pthide.ensembles import coarse_grain
 from pthide.discrimination import helstrom_measurement
 from pthide.serialize import ensemble_to_dict, povm_to_dict
 
-from conftest import random_two_state_ensemble
+from pthide.operators import BipartiteDims
+
+from conftest import random_ensemble, random_two_state_ensemble
 
 
 def run(capsys, *argv):
@@ -100,6 +103,22 @@ def test_gap_tol_below_rounding_exits_3_without_spending_the_budget(tmp_path, ca
     assert code == 3
     payload = json.loads(out)
     assert not payload["converged"] and payload["iterations"] <= 64
+
+
+def test_stalled_barrier_solve_exits_3_within_seconds(tmp_path, capsys):
+    # n = 3 at --gap-tol 0: the barrier's certified gap stops falling near
+    # 1e-11, and the run stops there, unconverged (Dykstra ran on at about
+    # 11 ms per iteration to the 100,000-iteration budget)
+    e = random_ensemble(np.random.default_rng([11, 0]), 3, BipartiteDims(2, 3))
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps(ensemble_to_dict(e)))
+    start = time.monotonic()
+    code, out, _ = run(capsys, "qg", "--ensemble", str(path), "--gap-tol", "0")
+    assert time.monotonic() - start < 5.0
+    assert code == 3
+    payload = json.loads(out)
+    assert not payload["converged"] and payload["method"] == "log-det-barrier"
+    assert 0.0 < payload["gap"] <= 1e-9 and payload["iterations"] <= 200
 
 
 @pytest.mark.parametrize(

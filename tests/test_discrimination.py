@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,10 @@ from pthide import (
     success_probability,
     validate_povm,
 )
+from pthide import discrimination
 from pthide.constructions import bell_state, example1, example2
 from pthide.discrimination import _MAX_STEP_NORM, _dual_lift, _objective_operators
-from pthide.discrimination import _projected_ascent, _solve_stack
+from pthide.discrimination import _barrier, _repair_povm, _solve_stack
 from pthide.operators import _eig_apply
 
 from conftest import random_ensemble, random_hermitian, random_povm, random_state
@@ -150,22 +153,28 @@ def test_fast_path_agrees_with_generic_on_commuting_input():
     res = example2(d=3, m=2, n=3)
     fast = solve_optimal_value(res.ensemble, use_pt=True)
     g = _objective_operators(res.ensemble, use_pt=True)
-    _, (slow_value, *_), _, _, slow_method = _projected_ascent(g, SolverOptions(gap_tol=1e-8))
+    start = time.monotonic()
+    _, (slow_value, *_), _, history, slow_method = _barrier(g, SolverOptions(gap_tol=1e-8))
+    # about 0.2 s; a dense Hessian (6561 x 6561 here) did not finish
+    assert time.monotonic() - start < 10.0
     assert fast.method == "commuting-eigenbasis"
-    assert slow_method == "projected-ascent"
+    assert slow_method == "log-det-barrier"
     assert fast.value_history.shape == (1, 4)
     assert abs(fast.value - slow_value) < 1e-6
+    # the barrier's bracket holds the exact value
+    assert slow_value <= fast.value <= history[-1][1] + history[-1][2] + 1e-12
+    assert 0.0 <= history[-1][2] <= 1e-8
     assert abs(fast.value - 0.5) < 1e-12  # exact rational optimum for these params
 
 
 def _three_path_cases():
     """One ensemble per solver path: the commuting fast path, the two-state
-    eigenbasis ascent and the Dykstra ascent."""
+    eigenbasis ascent and the log-det barrier."""
     rng = np.random.default_rng(29)
     return [
         (example2(d=3, m=1, n=2).ensemble, "commuting-eigenbasis"),
         (random_two_state_ensemble(rng), "projected-ascent"),
-        (random_ensemble(rng, 3), "projected-ascent"),
+        (random_ensemble(rng, 3), "log-det-barrier"),
     ]
 
 
@@ -227,7 +236,8 @@ def test_solver_value_history_monotone():
         rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=1e-8))
         values = rep.value_history[:, 1]
         assert np.all(np.diff(values) >= -1e-10)
-        # rows are (iteration, value, gap, step); the last row is the report
+        # rows are (iteration, value, gap, step), or (iteration, value, gap,
+        # t) for n > 2; the last row is the report
         assert rep.value_history.shape[1] == 4
         iters, _, gaps, steps = rep.value_history.T
         assert iters[-1] == rep.iterations and values[-1] == rep.value
@@ -421,7 +431,7 @@ def test_duality_and_certification_on_converged_runs():
         assert cert.certified
         # the returned dual operator is feasible by construction
         assert dual_bound(e, rep.dual_h, tol=1e-8).feasible
-    # Dykstra projections (n > 2) under the step back-off: 20 seeds on 2x3
+    # the log-det barrier (n > 2): 20 seeds on 2x3
     opts = SolverOptions(gap_tol=gap_tol, max_iters=1000)
     for seed in range(20):
         for n in (3, 4):
@@ -431,6 +441,141 @@ def test_duality_and_certification_on_converged_runs():
             assert -1e-12 <= rep.gap <= gap_tol
             assert all(ok for _, _, ok in validate_povm(rep.povm))
             assert dual_bound(e, rep.dual_h, tol=1e-8).feasible
+
+
+def _pure_ensemble(rng, dims, n, complex_entries):
+    etas = rng.dirichlet(np.ones(n))
+    return StateEnsemble(
+        dims, tuple((eta, random_state(dims, rng, complex_entries, rank=1)) for eta in etas)
+    )
+
+
+def _assert_checked_bracket(e, rep):
+    assert np.isfinite([rep.value, rep.gap]).all()
+    assert all(ok for _, _, ok in validate_povm(rep.povm))
+    out = dual_bound(e, rep.dual_h)
+    assert out.feasible
+    assert abs(out.bound - (rep.value + rep.gap)) <= 1e-9
+
+
+def test_barrier_bracket_holds_commuting_values():
+    # diagonal stacks commute, so the fast path gives the exact value; the
+    # barrier, run on the same stack, must bracket it
+    rng = np.random.default_rng(31)
+    opts = SolverOptions(gap_tol=1e-7)
+    for dims in (D22, BipartiteDims(2, 3)):
+        for n in (3, 4):
+            for _ in range(3):
+                etas = rng.dirichlet(np.ones(n))
+                e = StateEnsemble(
+                    dims,
+                    tuple(
+                        (eta, HermitianOperator(dims, np.diag(rng.dirichlet(np.ones(dims.total)))))
+                        for eta in etas
+                    ),
+                )
+                g = _objective_operators(e, use_pt=True)
+                _, (exact, *_), _, _, method = _solve_stack(g, opts)
+                assert method == "commuting-eigenbasis"
+                _, (value, *_), _, history, method = _barrier(g, opts)
+                assert method == "log-det-barrier"
+                gap = history[-1][2]
+                assert 0.0 <= gap <= opts.gap_tol
+                assert value <= exact <= value + gap + 1e-12
+
+
+def test_barrier_on_rank_deficient_stacks():
+    # pure states and a repeated state leave the optimal POVM elements rank
+    # deficient, so H - G_i grows singular along the central path
+    rng = np.random.default_rng(37)
+    cases = [
+        _pure_ensemble(rng, dims, n, complex_entries)
+        for dims in (D22, BipartiteDims(2, 3))
+        for n in (3, 4)
+        for complex_entries in (False, True)
+    ]
+    d23 = BipartiteDims(2, 3)
+    rho, sigma = random_state(d23, rng), random_state(d23, rng, rank=1)
+    cases.append(StateEnsemble(d23, ((0.3, rho), (0.3, rho), (0.4, sigma))))
+    cases.append(StateEnsemble(d23, ((0.3, sigma), (0.3, sigma), (0.4, rho))))
+    for e in cases:
+        rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=1e-7))
+        assert rep.method == "log-det-barrier"
+        assert rep.converged and 0.0 <= rep.gap <= 1e-7
+        _assert_checked_bracket(e, rep)
+
+
+def test_repair_povm_refuses_a_singular_sum():
+    m = np.stack([np.diag([1.0, 0.0]), np.zeros((2, 2)), np.zeros((2, 2))])
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _repair_povm(m)
+    m[0, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="singular"):
+        _repair_povm(m)
+
+
+def test_barrier_stops_unconverged_when_the_gap_stops_falling():
+    # at gap_tol=0 the gap falls by _T_FACTOR per centring down to about
+    # 1e-11, then rounding stops it: the run stops there, with the same
+    # report at every budget beyond it
+    e = random_ensemble(np.random.default_rng([11, 0]), 3, BipartiteDims(2, 3))
+    reps = [
+        solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=0.0, max_iters=budget))
+        for budget in (200, SolverOptions().max_iters)
+    ]
+    rep = reps[0]
+    assert not rep.converged and rep.iterations < 100
+    assert 0.0 < rep.gap <= 1e-9
+    gaps = rep.value_history[:, 2]
+    assert np.all(np.diff(gaps) < 0)
+    other = reps[1]
+    assert (other.value, other.gap, other.iterations) == (rep.value, rep.gap, rep.iterations)
+    _assert_checked_bracket(e, rep)
+    # no Newton step at all: the starting point's bracket
+    start = solve_optimal_value(e, use_pt=True, opts=SolverOptions(max_iters=0))
+    assert start.iterations == 0 and not start.converged
+    assert start.value_history.shape == (1, 4)
+    _assert_checked_bracket(e, start)
+
+
+def test_barrier_stops_unconverged_at_the_step_floor(monkeypatch):
+    # with the floor at 1 every backtrack ends the line search: the run
+    # stops at the first one and reports the last certified bracket
+    monkeypatch.setattr(discrimination, "_MIN_STEP", 1.0)
+    e = random_ensemble(np.random.default_rng([11, 1]), 4, BipartiteDims(2, 3))
+    rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=1e-7))
+    assert not rep.converged and rep.gap > 1e-7
+    assert rep.iterations < 20
+    _assert_checked_bracket(e, rep)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    dims=st.sampled_from([BipartiteDims(2, 2), BipartiteDims(2, 3)]),
+    n=st.integers(3, 4),
+    complex_entries=st.booleans(),
+    rank=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_barrier_bracket_bounds_every_povm(dims, n, complex_entries, rank, seed):
+    # value + gap bounds the success of any measurement, the trivial guess
+    # max_i eta_i among them, and the bracket is checked on its matrices
+    rng = np.random.default_rng(seed)
+    etas = rng.dirichlet(np.ones(n))
+    e = StateEnsemble(
+        dims,
+        tuple(
+            (eta, random_state(dims, rng, complex_entries, rank=min(rank, dims.total)))
+            for eta in etas
+        ),
+    )
+    rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=1e-7))
+    upper = rep.value + rep.gap
+    assert rep.converged
+    for _ in range(3):
+        assert success_probability(e, random_povm(rng, dims, n), use_pt=True) <= upper + 1e-12
+    assert e.probabilities.max() <= upper + 1e-12
+    _assert_checked_bracket(e, rep)
 
 
 def test_pt_objective_equals_plain_on_diagonal_states():
