@@ -84,7 +84,9 @@ def _objective_operators(ensemble: StateEnsemble, use_pt: bool) -> np.ndarray:
 
 
 def success_probability(ensemble: StateEnsemble, povm: Povm, use_pt: bool = False) -> float:
-    """Average probability sum_i eta_i Tr(rho_i M_i), optionally with rho_i^PT."""
+    """Average probability sum_i eta_i Tr(rho_i M_i), optionally with rho_i^PT.
+    Only tests call it: the reference that ``test_discrimination.py`` and
+    ``test_hiding.py`` check solver values and level POVMs against."""
     if povm.n_outcomes != ensemble.n:
         raise ValueError(
             f"POVM has {povm.n_outcomes} outcomes but the ensemble has {ensemble.n} states"
@@ -147,8 +149,8 @@ def helstrom_measurement(ensemble: StateEnsemble, use_pt: bool = False) -> Povm:
 @dataclass(frozen=True)
 class SolverOptions:
     """Knobs for :func:`solve_optimal_value`: the iteration budget, the
-    certified gap at which a run stops, and the seed of the commuting fast
-    path's random probes.
+    certified gap at which a run stops and counts as converged, and the
+    seed of the commuting fast path's random probes and weights.
 
     ``max_iters`` counts ascent steps for two states and Newton steps for
     more.  Neither path has other knobs: the two-state step starts at
@@ -174,7 +176,9 @@ class OptimalityReport:
 
     ``gap = Tr(dual_H) - value`` is a certified bound on the distance to the
     optimum: ``dual_H`` is feasible by construction, so the true optimum lies
-    in ``[value, value + gap]`` whether or not the run converged.
+    in ``[value, value + gap]`` whether or not the run converged, which is
+    ``gap <= gap_tol`` on every path.  On the two eigenbasis paths
+    ``residual_min_eigs`` are Weyl lower bounds on lambda_min(Z - G_i).
 
     ``value_history`` has one row per checked iterate: its iteration, its
     value and certified gap, and a fourth column that depends on
@@ -229,15 +233,16 @@ def _dual_lift(g: np.ndarray, m: np.ndarray):
 
 
 def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
-    """Exact solve when the objective operators pairwise commute.
+    """One-shot solve when the objective operators pairwise commute.
 
-    In a joint eigenbasis the objective decouples: each eigenvector is
-    assigned to the state with the largest diagonal value, the optimum is the
-    sum of those maxima, and the unshifted dual candidate already certifies a
-    zero gap.  Probabilistic matvec probes guard both the commutation test
-    and the joint-diagonalization, returning None (the iterative path) on
-    any doubt.  Returns :func:`_solve_stack`'s tuple, whose lifted part is
-    :func:`_dual_lift`'s with a zero shift.
+    In a joint eigenbasis V each eigenvector goes to the state with the
+    largest diagonal d_ik of V^dagger G_i V; the value is the sum of those
+    maxima top_k, and the dual is Z = V diag(top) V^dagger.  By Weyl's
+    inequality lambda_min(Z - G_i) >= min_k(top_k - d_ik) - off_i with the
+    measured off_i = ||G_i V - V diag(d_i)||_F, the norm of V^dagger G_i V's
+    off-diagonal part, so a shift lam certifies Z + lam I at a gap of lam D.
+    Returns None (the iterative path) when that gap exceeds ``gap_tol`` or
+    random commutator probes reject the stack; the probes only save time.
     """
     n, d = g.shape[0], g.shape[-1]
     rng = np.random.default_rng(opts.fast_path_seed)
@@ -249,42 +254,39 @@ def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
             comm = g[i] @ (g[j] @ probes) - g[j] @ (g[i] @ probes)
             if np.abs(comm).max() > 1e-8 * scales[i] * scales[j]:
                 return None
-    diag = basis = None
-    for _ in range(2):
-        weights = rng.uniform(0.5, 1.5, size=n)
-        v = np.linalg.eigh(np.einsum("n,nij->ij", weights, g))[1]
-        cand = np.empty((n, d))
-        for i in range(n):
-            cand[i] = np.einsum("ji,ji->i", v.conj(), g[i] @ v).real
-            recon = v @ (cand[i][:, None] * (v.conj().T @ probes))
-            if np.abs(g[i] @ probes - recon).max() > 1e-8 * scales[i]:
-                break
-        else:
-            diag, basis = cand, v
-            break
-    if diag is None:
+    weights = rng.uniform(0.5, 1.5, size=n)
+    v = np.linalg.eigh(np.einsum("n,nij->ij", weights, g))[1]
+    diag, off = np.empty((n, d)), np.empty(n)
+    for i in range(n):
+        gv = g[i] @ v
+        diag[i] = np.einsum("ji,ji->i", v.conj(), gv).real
+        gv -= v * diag[i]
+        off[i] = np.linalg.norm(gv)
+    del gv  # a D x D residual, freed before the blocks
+    top = diag.max(axis=0)
+    resid_min = (top - diag).min(axis=1) - off
+    lam = max(0.0, float(-resid_min.min()))
+    if lam * d > opts.gap_tol:
         return None
     assign = diag.argmax(axis=0)
-    top = diag.max(axis=0)
     value = float(top.sum())
-    blocks = np.zeros((n, d, d), dtype=basis.dtype)
+    blocks = np.zeros((n, d, d), dtype=v.dtype)
     for i in range(n):
-        cols = basis[:, assign == i]
+        cols = v[:, assign == i]
         if cols.shape[1]:
             # cols @ cols^dagger is one rank-k update (half a general product)
             blocks[i] = _hermitize(cols @ cols.conj().T)
-    resid_min = np.array([float((top - diag[i]).min()) for i in range(n)])
-    z = _spectral(basis, top)
-    history = [(0, value, float(np.trace(z).real) - value, 0.0)]
-    return blocks, (value, z, resid_min, 0.0), 0, history, "commuting-eigenbasis"
+    z = _spectral(v, top)
+    history = [(0, value, float(np.trace(z).real) + lam * d - value, 0.0)]
+    return blocks, (value, z, resid_min, lam), 0, history, "commuting-eigenbasis"
 
 
 def _solve_stack(g: np.ndarray, opts: SolverOptions):
     """Solve on the (n, D, D) stack ``g`` of objective operators: the
     commuting fast path if it applies, else the two-state ascent or, for
     more states, the log-det barrier.  Returns
-    ``(M, lifted, iterations, history, method)``: the POVM blocks, their
-    :func:`_dual_lift` (value, dual base Z, residual minima, shift; the
+    ``(M, lifted, iterations, history, method)``: the POVM blocks, the tuple
+    of :func:`_dual_lift` (value, dual base Z, residual minima, shift; the
     reported dual is ``Z + shift * I``), and the rows of
     :attr:`OptimalityReport.value_history`.
     """
@@ -323,10 +325,11 @@ def solve_optimal_value(
     is repaired to an exact one, so the bracket rests on a feasible
     measurement and a checked dual.
 
-    Ensembles whose objective operators pairwise commute (e.g. mixtures of
-    operators sharing an eigenbasis) are solved exactly in one shot, and
-    count as converged when ``|gap| <= gap_tol``.  The solve runs on arrays
-    (:func:`_solve_stack`); only the report's operators are built.
+    Ensembles whose objective operators pairwise commute are solved in one
+    shot when the gap that :func:`_try_commuting_solve` certifies is at most
+    ``gap_tol`` (it is rounding above 0, so not at ``gap_tol=0``).  Every
+    path counts as converged when ``gap <= gap_tol``.  The solve runs on
+    arrays (:func:`_solve_stack`); only the report's operators are built.
     """
     opts = opts or SolverOptions()
     # the stack is freed before the report's operators are built and checked
@@ -343,7 +346,7 @@ def solve_optimal_value(
         dual_h=HermitianOperator(dims, h),
         gap=gap,
         residual_min_eigs=resid_min,
-        converged=(abs(gap) if method == "commuting-eigenbasis" else gap) <= opts.gap_tol,
+        converged=gap <= opts.gap_tol,
         iterations=iterations,
         method=method,
         value_history=np.array(history),
@@ -487,60 +490,49 @@ def _newton_direction(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
 def _two_state_ascent(g: np.ndarray, opts: SolverOptions):
     """Projected ascent for two states, in the eigenbasis of D.
 
-    With D = G0 - G1 = v diag(w) v^dagger, the iterate after steps summing to
-    S is M0 = v diag(f) v^dagger, f = clip(1/2 + S w / 2, 0, 1), and
-    M1 = I - M0.  In that basis Z = G1 + D M0, so the value is Tr G1 + w . f,
-    and the residuals Z - G0 = -D (I - M0) and Z - G1 = D M0 are diagonal
-    with entries -w (1 - f) and w f.  The step doubles every iteration, and
-    the run stops once ``lam * D <= gap_tol`` (lam the worst residual
-    violation) or at ``max_iters``, all on these eigenvalues.  The iterate at
-    which they stop is built as matrices, and its value, residuals, dual and
-    gap come from :func:`_dual_lift`.  If rounding leaves that gap above
-    ``gap_tol``, the loop goes on and checks every further iterate the same
-    way, so the reported bracket never rests on the eigenvalue model.  An
-    iterate with the same f as the last one checked is the same matrix, so
-    the run stops there, unconverged: with ``gap_tol`` below the rounding
-    floor it would otherwise lift one matrix until ``max_iters``.
+    With D = G0 - G1 = v diag(w) v^dagger + E, the iterate after steps
+    summing to S is M0 = v diag(f) v^dagger, f = clip(1/2 + S w / 2, 0, 1),
+    M1 = I - M0, of value Tr G1 + sum_k f_k (v^dagger D v)_kk.  Its dual is
+    Z = G1 + v diag(w f) v^dagger shifted by
+    lam = max(0, -min(w f), max(w - w f) + err): by Weyl's inequality the
+    measured err = ||D v - v diag(w)||_F >= ||E||_2 covers E in
+    Z - G0 = v diag(w f - w) v^dagger - E, so every history row's gap is
+    certified.  The step doubles every iteration; the run stops at a gap of
+    at most ``gap_tol``, at ``max_iters``, or unconverged at the first
+    repeated f (every eigenvalue clipped, so the gap cannot fall further).
     """
     d = g.shape[-1]
     g_norm = max(float(np.linalg.norm(g)), 1e-300)
     step = 2.0 / g_norm
-    w, v = np.linalg.eigh(g[0] - g[1])
+    diff = g[0] - g[1]
+    w, v = np.linalg.eigh(diff)
+    resid = diff @ v
+    dvv = np.einsum("ji,ji->i", v.conj(), resid).real  # the diagonal of v^dagger D v
+    resid -= v * w
+    err = float(np.linalg.norm(resid))
+    del diff, resid
     tr_g1 = float(np.trace(g[1]).real)
-    total = 0.0
-    exact = False
-    stalled = False
-    checked = None
-    history = []
-    iterations = 0
+    total, last, history, iterations = 0.0, None, [], 0
     while True:
         f = (0.5 + total / 2 * w).clip(0.0, 1.0)
-        if exact:
-            # once every eigenvalue has clipped, f and so the iterate stay
-            # fixed: its gap cannot fall any further, so the run stops
-            stalled = np.array_equal(f, checked)
-            if not stalled:
-                m0 = _spectral(v, f)
-                m = np.stack([m0, np.eye(d, dtype=m0.dtype) - m0])
-                lifted = _dual_lift(g, m)
-                value, _, _, lam = lifted
-                checked = f
-        else:
-            wf = w * f
-            value = tr_g1 + float(wf.sum())
-            lam = max(0.0, float((w - wf).max()), float(-wf.min()))
-        done = stalled or lam * d <= opts.gap_tol or iterations >= opts.max_iters
-        if done and not exact:
-            exact = True  # check this iterate against its matrices
-            continue
-        history.append((iterations, value, lam * d, step))
-        if done:
+        wf = w * f
+        value = tr_g1 + float(f @ dvv)
+        lam = max(0.0, float(-wf.min()), float((w - wf).max()) + err)
+        gap = tr_g1 + float(wf.sum()) + lam * d - value
+        history.append((iterations, value, gap, step))
+        # a repeated f is the same iterate: its gap cannot fall any further
+        if gap <= opts.gap_tol or iterations >= opts.max_iters or (f == last).all():
             break
+        last = f
         total += step
         iterations += 1
         if step * g_norm < _MAX_STEP_NORM:
             step *= 2
-    return m, lifted, iterations, history, "projected-ascent"
+    m0 = _spectral(v, f)
+    m = np.stack([m0, np.eye(d, dtype=m0.dtype) - m0])
+    z = g[1] + _spectral(v, wf)
+    resid_min = np.array([float((wf - w).min()) - err, float(wf.min())])
+    return m, (value, z, resid_min, lam), iterations, history, "projected-ascent"
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,7 @@ def fold(ensemble: StateEnsemble, copies: int, cap: int | None = None) -> StateE
 
     Items are ordered lexicographically in the index vector, with the first
     copy's index most significant; probabilities multiply and states tensor.
+    Only ``test_ensembles.py`` calls it, as the index-vector reference.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")

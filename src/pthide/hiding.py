@@ -84,7 +84,8 @@ class PerCopyParityStrategy:
 
         Element i sums the tensor products of base elements over all outcome
         patterns with parity i; identical to
-        ((M0+M1)^{xL} + (-1)^i (M0-M1)^{xL}) / 2.
+        ((M0+M1)^{xL} + (-1)^i (M0-M1)^{xL}) / 2.  Only ``test_hiding.py``
+        calls it, as the explicit reference for the per-copy decoding.
         """
         if copies < 1:
             raise ValueError("copies must be >= 1")

@@ -133,7 +133,8 @@ def decay_curve(
     opts: SolverOptions | None = None,
 ) -> DecayCurve:
     """Decay curve for an explicit ensemble, anchored at the certified upper
-    end of its single-copy value."""
+    end of its single-copy value.  Called by ``test_multifold.py`` and the
+    ``multifold-dense`` benchmark; the CLI uses :func:`decay_curve_from_value`."""
     qg, converged = _pt_upper_value(ensemble, opts)
     if not converged:
         raise ValueError(

@@ -139,7 +139,8 @@ def positive_part(e: HermitianOperator) -> HermitianOperator:
 
 
 def negative_part(e: HermitianOperator) -> HermitianOperator:
-    """The PSD operator E(-) = (|E| - E) / 2."""
+    """The PSD operator E(-) = (|E| - E) / 2.  Only ``test_operators.py``
+    and ``test_acceptance.py`` call it, to check E = E(+) - E(-)."""
     return HermitianOperator(e.dims, _eig_apply(e.entries, lambda w: np.maximum(-w, 0.0)))
 
 
@@ -220,6 +221,8 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def tensor_power(a: HermitianOperator, exponent: int, cap: int | None = None) -> HermitianOperator:
+    """``a`` to the tensor power ``exponent``.  Only tests (criterion 3 of
+    ``test_acceptance.py`` among them) and the ``multifold-dense`` bench call it."""
     if exponent < 1:
         raise ValueError("tensor power exponent must be >= 1")
     out = a

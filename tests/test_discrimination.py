@@ -167,6 +167,61 @@ def test_fast_path_agrees_with_generic_on_commuting_input():
     assert abs(fast.value - 0.5) < 1e-12  # exact rational optimum for these params
 
 
+def _near_commuting_stack(rng, eps, d=16, n=3):
+    """n complex Q diag(d_i) Q^dagger plus Hermitian perturbations of
+    relative Frobenius size eps."""
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    g = []
+    for _ in range(n):
+        gi = (q * rng.uniform(0.0, 1.0, d)) @ q.conj().T
+        p = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        p = (p + p.conj().T) / 2
+        gi = gi + eps * np.linalg.norm(gi) / np.linalg.norm(p) * p
+        g.append((gi + gi.conj().T) / 2)
+    return np.stack(g)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-10, 1e-9])
+def test_fast_path_dual_is_feasible_on_near_commuting_stacks(eps):
+    # the probes accept these stacks (gap_tol=1 lets any certified gap
+    # through), and the dual must dominate every G_i on the matrices, not
+    # only in the eigenbasis: the shift comes from the measured residual
+    rng = np.random.default_rng([41, int(eps * 1e12)])
+    for _ in range(20):
+        g = _near_commuting_stack(rng, eps)
+        out = discrimination._try_commuting_solve(g, SolverOptions(gap_tol=1.0))
+        assert out is not None
+        _, (value, z, resid_min, lam), _, history, method = out
+        assert method == "commuting-eigenbasis"
+        mins = np.linalg.eigvalsh(z + lam * np.eye(16) - g)[:, 0]
+        assert mins.min() >= 0.0
+        # the reported residual minima are lower bounds on the unshifted spectra
+        assert np.all(resid_min <= np.linalg.eigvalsh(z - g)[:, 0] + 1e-15)
+        assert history[0][2] >= 0.0
+
+
+def _bell_ensembles():
+    vecs = ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])
+    bells = StateEnsemble(
+        D22, tuple((0.25, HermitianOperator(D22, np.outer(v, v) / 2.0)) for v in vecs)
+    )
+    return [bells, example1(bell_state())]
+
+
+def test_fast_path_gap_is_nonnegative_on_bell_ensembles():
+    # the four Bell states reported gap -5.55e-17 when the unshifted dual
+    # was trusted; the Weyl shift makes the bracket hold on the matrices
+    for e in _bell_ensembles():
+        for use_pt in (True, False):
+            rep = solve_optimal_value(e, use_pt=use_pt)
+            assert rep.method == "commuting-eigenbasis"
+            assert rep.gap >= 0.0 and rep.converged
+            if use_pt:
+                out = dual_bound(e, rep.dual_h)
+                assert out.feasible
+                assert abs(out.bound - (rep.value + rep.gap)) <= 1e-12
+
+
 def _three_path_cases():
     """One ensemble per solver path: the commuting fast path, the two-state
     eigenbasis ascent and the log-det barrier."""
@@ -367,6 +422,8 @@ def test_two_state_solve_spectral_calls_do_not_grow_with_iterations(monkeypatch)
     assert iterations[1] >= iterations[0] + 10
     assert counts[0] == counts[1]
     assert counts[0]["eigh"] + counts[0]["eigvalsh"] < iterations[0]
+    # the bracket is certified from the one eigh's residual, with no spectrum
+    assert counts[0]["eigvalsh"] == 0
 
 
 @settings(max_examples=40, deadline=None)

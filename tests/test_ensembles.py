@@ -265,3 +265,39 @@ def test_tensor_bins_of_projectors_sum_the_index_vectors(n, copies, local, compl
     for b, ref in zip(got, expected):
         assert b.shape == (side, side) and b.dtype == ref.dtype
         assert np.abs(b - ref).max() <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 4),
+    copies=st.integers(1, 3),
+    local=st.sampled_from([(2, 2), (1, 3), (2, 1)]),
+    complex_entries=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coarse_grained_pt_objective_is_a_fourier_tensor_power(
+    n, copies, local, complex_entries, seed
+):
+    # sum_i w^(k i) G_i^(L) = (sum_c w^(k c) G_c)^(tensor L) for every k,
+    # w = exp(2 pi i / n): the modulo-n sum of the copies' indices turns into
+    # a product under the discrete Fourier transform, and PT acts factorwise
+    from pthide.discrimination import _objective_operators
+    from pthide.ensembles import _tensor_bins
+
+    from conftest import random_state
+
+    rng = np.random.default_rng(seed)
+    dims = BipartiteDims(*local)
+    e = StateEnsemble(
+        dims,
+        tuple(
+            (eta, random_state(dims, rng, complex_entries)) for eta in rng.dirichlet(np.ones(n))
+        ),
+    )
+    single = _objective_operators(e, use_pt=True)
+    level = _objective_operators(coarse_grain(e, copies), use_pt=True)
+    for k in range(n):
+        phases = np.exp(2j * np.pi * k * np.arange(n) / n)
+        lhs = np.einsum("i,ijk->jk", phases, level)
+        (rhs,) = _tensor_bins([np.einsum("i,ijk->jk", phases, single)], dims, copies)
+        assert np.abs(lhs - rhs).max() <= 1e-13
