@@ -124,7 +124,9 @@ def coarse_grain(ensemble: StateEnsemble, copies: int, cap: int | None = None) -
     Hermiticity check as each bin is wrapped (the bins are returned states,
     so they are checked; the solver's stacks are not); the previous level's
     n bins are D^2 times smaller.  On the n=3 Werner instance of side 6561
-    (float64, 1.03 GB of bins) the peak RSS is 1.63 GiB (numpy 2.4.6).
+    (float64, 1.03 GB of bins) the peak RSS up to the return is 1.63 GiB
+    (numpy 2.4.6); criterion 4's block solve of those bins then peaks at
+    3.25 GiB, with the objective stack and the POVM it assembles.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")

@@ -37,6 +37,44 @@ def random_ensemble(rng, n, dims=BipartiteDims(2, 2)) -> StateEnsemble:
     return StateEnsemble(dims, tuple((etas[i], random_state(dims, rng)) for i in range(n)))
 
 
+def permuted_block_stack(rng, n, sizes, commuting=(), complex_entries=True) -> np.ndarray:
+    """n PSD matrices, block-diagonal on consecutive blocks of the given
+    sizes, under one random permutation of the basis.  The blocks numbered
+    in ``commuting`` share one eigenbasis across the n matrices; the others
+    are random and dense."""
+    d = sum(sizes)
+    x = np.zeros((n, d, d), dtype=complex if complex_entries else float)
+    start = 0
+    for b, s in enumerate(sizes):
+        if b in commuting:
+            q = random_state(BipartiteDims(1, s), rng, complex_entries).entries
+            v = np.linalg.eigh(q)[1]
+            blocks = (v * rng.uniform(0.0, 1.0, (n, 1, s))) @ v.conj().T
+        else:
+            dims = BipartiteDims(1, s)
+            blocks = [random_state(dims, rng, complex_entries).entries for _ in range(n)]
+        x[:, start : start + s, start : start + s] = blocks
+        start += s
+    perm = rng.permutation(d)
+    return x[:, perm][:, :, perm]
+
+
+def permuted_block_ensemble(
+    rng, dims, sizes, n, commuting=(), complex_entries=True
+) -> StateEnsemble:
+    """An ensemble whose PT objective stack is the permuted block-diagonal
+    :func:`permuted_block_stack` (scaled to unit traces), exactly: each state
+    is the partial transpose of its block matrix, and PT is an involution.
+    The states need not be positive."""
+    from pthide.operators import _pt
+
+    etas = rng.dirichlet(np.ones(n))
+    stack = permuted_block_stack(rng, n, sizes, commuting, complex_entries)
+    stack /= np.trace(stack, axis1=1, axis2=2).real[:, None, None]
+    items = tuple((eta, HermitianOperator(dims, _pt(b, dims))) for eta, b in zip(etas, stack))
+    return StateEnsemble(dims, items)
+
+
 def random_povm(rng, dims: BipartiteDims, n: int):
     from pthide import Povm
 

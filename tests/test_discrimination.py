@@ -31,8 +31,8 @@ from pthide.discrimination import _MAX_STEP_NORM, _dual_lift, _objective_operato
 from pthide.discrimination import _barrier, _repair_povm, _solve_stack
 from pthide.operators import _eig_apply
 
-from conftest import random_ensemble, random_hermitian, random_povm, random_state
-from conftest import random_two_state_ensemble
+from conftest import permuted_block_ensemble, permuted_block_stack, random_ensemble
+from conftest import random_hermitian, random_povm, random_state, random_two_state_ensemble
 
 D22 = BipartiteDims(2, 2)
 
@@ -747,22 +747,33 @@ def test_dual_bound_from_solver_closes_gap():
     complex_entries=st.booleans(),
     tol=st.sampled_from([1e-10, 1e-8, 1e-6]),
     shift=st.sampled_from(["-1e-3", "-2tol", "-tol/2", "0", "1e-3"]),
+    split=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_dual_bound_cholesky_verdict_matches_the_spectrum(
-    dims, n, complex_entries, tol, shift, seed
+    dims, n, complex_entries, tol, shift, split, seed
 ):
     # H = Z + s I with min_i lambda_min(Z - G_i) = 0, so H sits s from the
     # feasibility boundary; the verdict is eigvalsh's min >= -tol except
     # within delta of it, an infeasible H names eigvalsh's violations, and a
-    # feasible one is certified without eigvalsh
+    # feasible one is certified without eigvalsh.  With ``split`` the G_i and
+    # H are block-diagonal on one random permutation, and the check runs
+    # block by block
     rng = np.random.default_rng(seed)
-    etas = rng.dirichlet(np.ones(n))
-    e = StateEnsemble(
-        dims, tuple((eta, random_state(dims, rng, complex_entries)) for eta in etas)
-    )
+    if split:
+        cuts = np.flatnonzero(rng.random(dims.total - 1) < 0.5) + 1
+        sizes = np.diff([0, *cuts, dims.total]).tolist()
+        e = permuted_block_ensemble(rng, dims, sizes, n, complex_entries=complex_entries)
+    else:
+        etas = rng.dirichlet(np.ones(n))
+        e = StateEnsemble(
+            dims, tuple((eta, random_state(dims, rng, complex_entries)) for eta in etas)
+        )
     g = _objective_operators(e, use_pt=True)
     y = random_hermitian(dims, rng, complex_entries).entries
+    if split:
+        y = y * (g != 0).any(axis=0)
+        assert len(discrimination._components(y[None] - g)) == len(sizes)
     z = y - np.linalg.eigvalsh(y[None] - g)[:, 0].min() * np.eye(dims.total)
     s = {"-1e-3": -1e-3, "-2tol": -2 * tol, "-tol/2": -tol / 2, "0": 0.0, "1e-3": 1e-3}[shift]
     h = HermitianOperator(dims, z + s * np.eye(dims.total))
@@ -781,4 +792,174 @@ def test_dual_bound_cholesky_verdict_matches_the_spectrum(
         assert res.bound == h.trace() and res.violations == ()
     else:
         assert res.bound is None
-        assert res.violations == tuple((int(i), float(mins[i])) for i in np.flatnonzero(mins < -tol))
+        expected = tuple((int(i), float(mins[i])) for i in np.flatnonzero(mins < -tol))
+        if not split:
+            assert res.violations == expected
+        else:
+            # block spectra: the dense minima to rounding
+            assert [i for i, _ in res.violations] == [i for i, _ in expected]
+            got = np.array([v for _, v in res.violations])
+            assert np.abs(got - [v for _, v in expected]).max() <= 1e-12
+
+
+def _oracle_brackets(g, opts, iterative=True):
+    """[value, value + gap] of every unsplit solve that applies to the full
+    stack g: the commuting fast path when it accepts, and (if ``iterative``)
+    the two-state ascent or the barrier."""
+    runs = [discrimination._try_commuting_solve(g, opts)]
+    if iterative:
+        runs.append(
+            discrimination._two_state_ascent(g, opts) if g.shape[0] == 2 else _barrier(g, opts)
+        )
+    out = []
+    for run in filter(None, runs):
+        _, (value, z, _, lam), _, _, method = run
+        out.append((method, value, float(np.trace(z).real) + lam * g.shape[-1] - value))
+    return out
+
+
+def _assert_split_report(rep, opts):
+    assert 0.0 <= rep.gap <= opts.gap_tol and rep.converged
+    assert rep.value_history.shape == (1, 4)
+    assert all(ok for _, _, ok in validate_povm(rep.povm))
+
+
+def _split_cases():
+    """Werner stacks of several components, with whether the iterative
+    oracle runs on them (the barrier takes seconds at side 256)."""
+    for (d, m, n), levels in (((2, 1, 2), (1, 2, 3, 4)), ((3, 1, 2), (1, 2)), ((2, 2, 3), (1, 2))):
+        base = example2(d=d, m=m, n=n).ensemble
+        for ell in levels:
+            for use_pt in (True, False):
+                yield coarse_grain(base, ell), use_pt, n == 2 or ell == 1 or use_pt
+
+
+def test_split_solve_matches_the_unsplit_oracles_on_werner_stacks():
+    opts = SolverOptions(gap_tol=1e-7)
+    loose = SolverOptions(gap_tol=1e-5)  # the barrier oracle at side 256
+    for e, use_pt, iterative in _split_cases():
+        g = _objective_operators(e, use_pt)
+        assert len(discrimination._components(g)) > 1
+        rep = solve_optimal_value(e, use_pt=use_pt, opts=opts)
+        assert rep.method == "commuting-eigenbasis"
+        _assert_split_report(rep, opts)
+        brackets = _oracle_brackets(g, opts if e.dims.total < 256 else loose, iterative)
+        assert brackets[0][0] == "commuting-eigenbasis"
+        assert abs(rep.value - brackets[0][1]) <= 1e-12
+        for _, value, gap in brackets:
+            assert value <= rep.value + rep.gap + 1e-12
+            assert rep.value <= value + gap + 1e-12
+        if use_pt:
+            out = dual_bound(e, rep.dual_h)
+            assert out.feasible
+            assert abs(out.bound - (rep.value + rep.gap)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_split_solve_mixes_paths_and_brackets_the_unsplit_oracles(n):
+    # commuting blocks take the fast path, the others the ascent (n = 2) or
+    # the barrier (n = 3), and the 1x1 blocks the exact step
+    rng = np.random.default_rng([47, n])
+    opts = SolverOptions(gap_tol=1e-7)
+    path = "projected-ascent" if n == 2 else "log-det-barrier"
+    for sizes, commuting, dims in (
+        ([1, 2, 3, 1, 4, 1], (1, 4), BipartiteDims(3, 4)),
+        ([3, 1, 3, 1], (0,), BipartiteDims(2, 4)),
+        ([2, 1, 3], (), BipartiteDims(2, 3)),
+    ):
+        for _ in range(3):
+            e = permuted_block_ensemble(rng, dims, sizes, n, commuting)
+            g = _objective_operators(e, use_pt=True)
+            rep = solve_optimal_value(e, use_pt=True, opts=opts)
+            methods = sorted({"commuting-eigenbasis", path} if commuting else {path})
+            assert rep.method == "+".join(methods)
+            _assert_split_report(rep, opts)
+            assert rep.iterations > 0
+            for _, value, gap in _oracle_brackets(g, opts):
+                assert value <= rep.value + rep.gap + 1e-12
+                assert rep.value <= value + gap + 1e-12
+            out = dual_bound(e, rep.dual_h)
+            assert out.feasible
+            assert abs(out.bound - (rep.value + rep.gap)) <= 1e-12
+
+
+def test_split_reports_of_diagonal_stacks_are_exact():
+    # every block 1x1: M_i[k, k] = [i is the first argmax], gap 0
+    rng = np.random.default_rng(53)
+    g = np.stack([np.diag(rng.choice([0.0, 0.25, 0.5], 6)) for _ in range(3)])
+    m, (value, h, resid_min, lam), iterations, history, method = _solve_stack(
+        g, SolverOptions(gap_tol=0.0)
+    )
+    top = g.diagonal(axis1=1, axis2=2)
+    first = top.argmax(axis=0)
+    assert method == "commuting-eigenbasis" and iterations == 0 and lam == 0.0
+    assert np.array_equal(m.diagonal(axis1=1, axis2=2), np.eye(3)[first].T)
+    assert np.array_equal(h, np.diag(top.max(axis=0)))
+    assert value == top.max(axis=0).sum() and history == [(0, value, 0.0, 0.0)]
+    assert np.array_equal(resid_min, (top.max(axis=0) - top).min(axis=1))
+
+
+def _residual_cases():
+    """One ensemble and objective per path: the dense fast path, the ascent,
+    the barrier, and split stacks that mix the fast path with each."""
+    rng = np.random.default_rng(59)
+    d23 = BipartiteDims(2, 3)
+    pair = permuted_block_stack(rng, 2, [6], commuting=(0,))
+    commuting = StateEnsemble(
+        d23, tuple((0.5, HermitianOperator(d23, p / np.trace(p).real)) for p in pair)
+    )
+    return [
+        (commuting, False, "commuting-eigenbasis"),
+        (random_two_state_ensemble(rng), True, "projected-ascent"),
+        (random_ensemble(rng, 3, d23), True, "log-det-barrier"),
+        (
+            permuted_block_ensemble(rng, BipartiteDims(2, 4), [3, 1, 4], 2, (0,)),
+            True,
+            "commuting-eigenbasis+projected-ascent",
+        ),
+        (
+            permuted_block_ensemble(rng, BipartiteDims(2, 4), [3, 1, 4], 3, (0,)),
+            True,
+            "commuting-eigenbasis+log-det-barrier",
+        ),
+    ]
+
+
+def test_residual_minima_bound_the_dual_spectrum_on_every_path():
+    opts = SolverOptions(gap_tol=1e-7)
+    for e, use_pt, method in _residual_cases():
+        rep = solve_optimal_value(e, use_pt=use_pt, opts=opts)
+        assert rep.method == method
+        mins = np.linalg.eigvalsh(rep.dual_h.entries - _objective_operators(e, use_pt))[:, 0]
+        assert np.all(rep.residual_min_eigs <= mins + 1e-12)
+
+
+def test_barrier_residual_minima_belong_to_the_reported_dual():
+    # when H itself is the dual, the minima are H's, not the lift's (they
+    # differed by up to 2.3e-6 on these instances, and exceeded H's)
+    opts = SolverOptions(gap_tol=1e-7)
+    for seed in range(20):
+        e = random_ensemble(np.random.default_rng([11, seed]), 3, BipartiteDims(2, 3))
+        g = _objective_operators(e, use_pt=True)
+        _, (_, z, resid_min, lam), _, _, _ = _barrier(g, opts)
+        mins = np.linalg.eigvalsh(z + lam * np.eye(6) - g)[:, 0]
+        assert np.abs(resid_min + lam - mins).max() <= 1e-12
+
+
+def test_split_werner_solve_and_checks_stay_at_block_side(monkeypatch):
+    # (2,1,2) at L=5 has side 1024: 992 1x1 blocks and one of side 32; the
+    # solve, the POVM check and the dual check never work at a larger side
+    e = coarse_grain(example2(d=2, m=1, n=2).ensemble, 5)
+    sides = []
+    for name in ("eigh", "eigvalsh", "cholesky"):
+
+        def recorded(a, *args, _fn=getattr(np.linalg, name), **kwargs):
+            sides.append(np.shape(a)[-1])
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    rep = solve_optimal_value(e, use_pt=True)
+    assert rep.converged
+    assert all(ok for _, _, ok in validate_povm(rep.povm))
+    assert dual_bound(e, rep.dual_h).feasible
+    assert sides and max(sides) == 32

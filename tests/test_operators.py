@@ -17,9 +17,9 @@ from pthide import (
     trace_norm,
 )
 from pthide.constructions import bell_state
-from pthide.operators import _pt
+from pthide.operators import _components, _pt
 
-from conftest import random_hermitian
+from conftest import permuted_block_stack, random_hermitian
 
 D22 = BipartiteDims(2, 2)
 
@@ -213,3 +213,78 @@ def test_real_inputs_stay_real():
     a = HermitianOperator(D22, np.eye(4))
     assert tensor(a, a, cap=16).entries.dtype == np.float64
     assert partial_transpose(a).entries.dtype == np.float64
+
+
+def _connected(mask: np.ndarray) -> bool:
+    """Whether the undirected graph on mask's nonzero pattern is connected, by search."""
+    seen, todo = {0}, [0]
+    while todo:
+        k = todo.pop()
+        for j in np.flatnonzero(mask[k] | mask[:, k]):
+            if j not in seen:
+                seen.add(int(j))
+                todo.append(int(j))
+    return len(seen) == len(mask)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=7),
+    n=st.integers(1, 3),
+    zeros=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+    stack=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_components_partition_the_nonzero_pattern(sizes, n, zeros, stack, seed):
+    # blocks planted on a random permutation, with random zeros inside them
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    x = np.zeros((n, d, d))
+    starts = np.cumsum([0, *sizes])
+    for a, b in zip(starts[:-1], starts[1:]):
+        block = rng.standard_normal((n, b - a, b - a)) * (rng.random((n, b - a, b - a)) >= zeros)
+        x[:, a:b, a:b] = block + block.swapaxes(1, 2)
+    perm = rng.permutation(d)
+    x = x[:, perm][:, :, perm]
+    if not stack:
+        x = x[0]
+    groups = _components(x)
+    assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(d))
+    assert all(np.array_equal(c, np.sort(c)) for c in groups)
+    label = np.empty(d, dtype=int)
+    for j, c in enumerate(groups):
+        label[c] = j
+    _, rows, cols = np.nonzero(x.reshape(-1, d, d))
+    assert np.array_equal(label[rows], label[cols])
+    where = np.argsort(perm)  # where[k]: the position of planted index k
+    pattern = (x.reshape(-1, d, d) != 0).any(axis=0)
+    for a, b in zip(starts[:-1], starts[1:]):
+        planted = where[a:b]
+        if _connected(pattern[np.ix_(planted, planted)]):
+            assert len(set(label[planted])) == 1
+    dense = rng.uniform(1.0, 2.0, x.shape)
+    assert len(_components(dense)) == 1
+
+
+def test_components_of_a_dense_pattern_with_zeros_in_row_0():
+    # row 0 is not enough to settle it: the general search links the rest
+    x = np.ones((2, 5, 5))
+    x[:, 0, 1:4] = x[:, 1:4, 0] = 0.0
+    assert [c.tolist() for c in _components(x)] == [[0, 1, 2, 3, 4]]
+    x[:, 0, 4] = x[:, 4, 0] = 0.0
+    assert [c.tolist() for c in _components(x)] == [[0], [1, 2, 3, 4]]
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_is_psd_block_by_block_equals_the_dense_spectrum(complex_entries):
+    rng = np.random.default_rng([43, complex_entries])
+    for sizes in ([1, 1, 1, 1], [3, 1, 2, 1, 1], [2, 2, 2, 2, 4], [6, 6]):
+        d = sum(sizes)
+        dims = BipartiteDims(1, d)
+        # a PSD stack shifted by a random multiple of the identity
+        x = permuted_block_stack(rng, 1, sizes, complex_entries=complex_entries)[0]
+        x = x - rng.uniform(0.0, 0.3) * np.eye(d)
+        dense = float(np.linalg.eigvalsh(x)[0])
+        ok, lmin = is_psd(HermitianOperator(dims, x), 1e-9)
+        assert abs(lmin - dense) <= 1e-12
+        assert ok == (dense >= -1e-9)
