@@ -38,8 +38,6 @@ _CG_TOL = 1e-2
 _ARMIJO = 0.25
 _FULL_STEP = 1.0 / 16
 _MIN_STEP = 2.0**-20
-#: Past this value of step * ||G||, M is lost to rounding in M + step * G.
-_MAX_STEP_NORM = 1.0 / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -67,15 +65,16 @@ def validate_povm(povm: Povm):
     Returns a list of (name, residual, ok) triples.
     """
     checks = []
-    total = np.zeros((povm.dims.total, povm.dims.total))
+    d = povm.dims.total
+    # one sum, accumulated in place in the elements' common dtype
+    total = np.zeros((d, d), dtype=np.result_type(float, *(m.entries for m in povm.elements)))
     for i, m in enumerate(povm.elements):
         ok, lmin = is_psd(m, POVM_PSD_TOL)
         checks.append((f"element_{i}_psd", lmin, ok))
-        total = total + m.entries
-    completeness = float(np.linalg.norm(total - np.eye(povm.dims.total)))
-    checks.append(
-        ("completeness", completeness, completeness <= POVM_COMPLETENESS_TOL * povm.dims.total)
-    )
+        total += m.entries
+    total.flat[:: d + 1] -= 1.0
+    completeness = float(np.linalg.norm(total))
+    checks.append(("completeness", completeness, completeness <= POVM_COMPLETENESS_TOL * d))
     return checks
 
 
@@ -102,18 +101,13 @@ def success_probability(ensemble: StateEnsemble, povm: Povm, use_pt: bool = Fals
     return float(total.real)
 
 
-def _weighted_difference(ensemble: StateEnsemble, use_pt: bool) -> np.ndarray:
-    """G0 - G1 of :func:`_objective_operators` for a two-state ensemble."""
-    g = _objective_operators(ensemble, use_pt)
-    return g[0] - g[1]
-
-
 def _difference_norm(ensemble: StateEnsemble, use_pt: bool) -> float:
-    """Trace norm of :func:`_weighted_difference`, the quantity every
-    two-state closed form is built from."""
+    """Trace norm of G0 - G1 (:func:`_objective_operators`), the quantity
+    every two-state closed form is built from."""
     if ensemble.n != 2:
         raise ValueError("closed form requires exactly two states")
-    return float(np.abs(np.linalg.eigvalsh(_weighted_difference(ensemble, use_pt))).sum())
+    g = _objective_operators(ensemble, use_pt)
+    return float(np.abs(np.linalg.eigvalsh(g[0] - g[1])).sum())
 
 
 def qg_two_state(ensemble: StateEnsemble) -> float:
@@ -137,15 +131,53 @@ def helstrom_measurement(ensemble: StateEnsemble, use_pt: bool = False) -> Povm:
     eigenspaces of the weighted state difference.
 
     This measurement attains the two-state optimum for the corresponding
-    objective (plain or partially transposed).
+    objective (plain or partially transposed); it is the POVM of
+    :func:`_helstrom`, which a dense two-state solve reports too.
     """
     if ensemble.n != 2:
         raise ValueError("projective construction requires exactly two states")
-    w, v = np.linalg.eigh(_weighted_difference(ensemble, use_pt))
-    nonneg = v[:, w >= 0.0]
-    m0 = _hermitize(nonneg @ nonneg.conj().T)
+    m = _helstrom(_objective_operators(ensemble, use_pt))[0]
     dims = ensemble.dims
-    return Povm(dims, (HermitianOperator(dims, m0), HermitianOperator(dims, np.eye(dims.total) - m0)))
+    return Povm(dims, tuple(HermitianOperator(dims, b) for b in m))
+
+
+def _helstrom(g: np.ndarray):
+    """The two-state solve in closed form, with :func:`_solve_stack`'s return
+    tuple; it needs no options.
+
+    With D = G0 - G1 = v diag(w) v^dagger + E, the projector M0 = v diag(f)
+    v^dagger with f = [w >= 0], and M1 = I - M0, attains the optimum
+    Tr G1 + sum_{w >= 0} w (Helstrom, *Quantum Detection and Estimation
+    Theory*, 1976); its value is Tr G1 + sum_k f_k (v^dagger D v)_kk.  The
+    dual is Z = G1 + v diag(w f) v^dagger shifted by
+    lam = max(0, max(w - w f) + err): by Weyl's inequality the measured
+    err = ||D v - v diag(w)||_F >= ||E||_2 covers E in
+    Z - G0 = v diag(w f - w) v^dagger - E, so the gap, about err * D, is
+    certified.  As in :func:`_solve_split` the shift is folded into the
+    returned dual H (and into the residual minima), and a value that
+    rounding puts above Tr H is clamped to it, so the gap is never negative.
+    The history is one row ``(0, value, gap, 0)``.
+    """
+    d = g.shape[-1]
+    diff = g[0] - g[1]
+    w, v = np.linalg.eigh(diff)
+    resid = diff @ v
+    dvv = np.einsum("ji,ji->i", v.conj(), resid).real  # the diagonal of v^dagger D v
+    resid -= v * w
+    err = float(np.linalg.norm(resid))
+    del diff, resid
+    f = w >= 0.0
+    cols = v[:, f]
+    m0 = _hermitize(cols @ cols.conj().T)
+    m = np.stack([m0, np.eye(d, dtype=m0.dtype) - m0])
+    wf = w * f
+    lam = max(0.0, float((w - wf).max()) + err)
+    h = g[1] + _spectral(v, wf)
+    h.flat[:: d + 1] += lam
+    trace = float(np.trace(h).real)
+    value = min(float(np.trace(g[1]).real) + float(f @ dvv), trace)
+    resid_min = np.array([float((wf - w).min()) - err, float(wf.min())]) + lam
+    return m, (value, h, resid_min, 0.0), 0, [(0, value, trace - value, 0.0)], "helstrom"
 
 
 @dataclass(frozen=True)
@@ -154,9 +186,9 @@ class SolverOptions:
     certified gap at which a run stops and counts as converged, and the
     seed of the commuting fast path's random probes and weights.
 
-    ``max_iters`` counts ascent steps for two states and Newton steps for
-    more.  Neither path has other knobs: the two-state step starts at
-    ``2 / ||G||`` and doubles every iteration, and the barrier's constants
+    ``max_iters`` counts the barrier's Newton steps; a two-state solve is a
+    closed form and takes none.  ``fast_path_seed`` matters only for
+    n != 2, where the commuting fast path runs.  The barrier's constants
     (``_T_FACTOR``, ``_CG_TOL`` and the line search's) are fixed in the
     module (see :func:`solve_optimal_value`).
     """
@@ -180,18 +212,18 @@ class OptimalityReport:
     optimum: ``dual_H`` is feasible by construction, so the true optimum lies
     in ``[value, value + gap]`` whether or not the run converged, which is
     ``gap <= gap_tol`` on every path.  ``residual_min_eigs`` bound
-    lambda_min(dual_H - G_i) from below: on the two eigenbasis paths they are
-    Weyl lower bounds on lambda_min(Z - G_i) for the unshifted dual Z, and on
+    lambda_min(dual_H - G_i) from below: on the commuting fast path they are
+    Weyl lower bounds on lambda_min(Z - G_i) for the unshifted dual Z, on
+    the two-state path Weyl lower bounds on lambda_min(dual_H - G_i), and on
     the barrier path the minima of Z - G_i, or of H - G_i when the barrier's
     own H is the dual.
 
     ``value_history`` has one row per checked iterate: its iteration, its
-    value and certified gap, and a fourth column that depends on
-    ``method``.  For two states (``"projected-ascent"``) it is the step the
-    next iteration takes; for more (``"log-det-barrier"``) it is the barrier
-    parameter t of the centring that produced the iterate, with the
-    iteration counted in Newton steps.  The commuting fast path
-    (``"commuting-eigenbasis"``) reports one row with 0 there.
+    value and certified gap, and a fourth column.  For the barrier
+    (``"log-det-barrier"``) that column is the parameter t of the centring
+    that produced the iterate, with the iteration counted in Newton steps.
+    The two-state closed form (``"helstrom"``) and the commuting fast path
+    (``"commuting-eigenbasis"``) report one row ``(0, value, gap, 0)``.
 
     A stack whose nonzero pattern splits into several components is solved
     block by block (:func:`_solve_split`).  Then ``method`` is the one method
@@ -314,13 +346,15 @@ def _solve_stack(g: np.ndarray, opts: SolverOptions):
 
 
 def _solve_block(g: np.ndarray, opts: SolverOptions):
-    """The commuting fast path if it applies, else the two-state ascent or,
-    for more states, the log-det barrier, with :func:`_solve_stack`'s
-    return tuple."""
+    """Two states in closed form (:func:`_helstrom`); otherwise the commuting
+    fast path if it applies, else the log-det barrier, with
+    :func:`_solve_stack`'s return tuple."""
+    if g.shape[0] == 2:
+        return _helstrom(g)
     fast = _try_commuting_solve(g, opts)
     if fast is not None:
         return fast
-    return _two_state_ascent(g, opts) if g.shape[0] == 2 else _barrier(g, opts)
+    return _barrier(g, opts)
 
 
 def _solve_split(g: np.ndarray, groups: list[np.ndarray], opts: SolverOptions):
@@ -387,14 +421,12 @@ def solve_optimal_value(
     reported as such, never silently truncated: the returned value/gap pair
     still brackets the optimum.  ``method`` names the path taken.
 
-    Two states (``"projected-ascent"``): projected gradient ascent with a
-    step that starts at ``2 / ||G||`` and doubles every iteration.  This is
-    sound because the objective is linear: a projected step never lowers
-    it, whatever its length.  Every iterate is a function of D = G0 - G1,
-    namely M0 = clip(1/2 + S D / 2, 0, 1) with S the sum of the steps so
-    far, so the certified gap is at most dim / (8 S) and doubling reaches
-    ``gap_tol`` in a few dozen steps.  The ascent runs in D's eigenbasis,
-    with one ``eigh`` per solve (see :func:`_two_state_ascent`).
+    Two states (``"helstrom"``): the closed form, from one ``eigh`` of
+    D = G0 - G1 and no iterations.  The POVM is the Helstrom projector onto
+    D's nonnegative eigenspace, as in :func:`helstrom_measurement`, and the
+    gap is the Weyl shift of the measured eigenbasis residual, about
+    err * D (see :func:`_helstrom`): rounding above 0 unless that residual
+    is exactly 0, so a generic pair does not converge at ``gap_tol=0``.
 
     More states (``"log-det-barrier"``): the dual barrier method (Boyd &
     Vandenberghe, *Convex Optimization*, ch. 11) on min Tr H s.t. H >= G_i
@@ -406,10 +438,10 @@ def solve_optimal_value(
     is repaired to an exact one, so the bracket rests on a feasible
     measurement and a checked dual.
 
-    Ensembles whose objective operators pairwise commute are solved in one
-    shot when the gap that :func:`_try_commuting_solve` certifies is at most
-    ``gap_tol`` (it is rounding above 0, so not at ``gap_tol=0``).  Every
-    path counts as converged when ``gap <= gap_tol``.  The solve runs on
+    Other ensembles whose objective operators pairwise commute are solved
+    in one shot when the gap that :func:`_try_commuting_solve` certifies is
+    at most ``gap_tol`` (it is rounding above 0, so not at ``gap_tol=0``).
+    Every path counts as converged when ``gap <= gap_tol``.  The solve runs on
     arrays (:func:`_solve_stack`); only the report's operators are built.
     """
     opts = opts or SolverOptions()
@@ -570,54 +602,6 @@ def _newton_direction(y: np.ndarray, grad: np.ndarray) -> np.ndarray:
         rz, rz_old = float(np.vdot(r, z).real), rz
         p = z + (rz / rz_old) * p
     return _hermitize(v @ x @ vh)
-
-
-def _two_state_ascent(g: np.ndarray, opts: SolverOptions):
-    """Projected ascent for two states, in the eigenbasis of D.
-
-    With D = G0 - G1 = v diag(w) v^dagger + E, the iterate after steps
-    summing to S is M0 = v diag(f) v^dagger, f = clip(1/2 + S w / 2, 0, 1),
-    M1 = I - M0, of value Tr G1 + sum_k f_k (v^dagger D v)_kk.  Its dual is
-    Z = G1 + v diag(w f) v^dagger shifted by
-    lam = max(0, -min(w f), max(w - w f) + err): by Weyl's inequality the
-    measured err = ||D v - v diag(w)||_F >= ||E||_2 covers E in
-    Z - G0 = v diag(w f - w) v^dagger - E, so every history row's gap is
-    certified.  The step doubles every iteration; the run stops at a gap of
-    at most ``gap_tol``, at ``max_iters``, or unconverged at the first
-    repeated f (every eigenvalue clipped, so the gap cannot fall further).
-    """
-    d = g.shape[-1]
-    g_norm = max(float(np.linalg.norm(g)), 1e-300)
-    step = 2.0 / g_norm
-    diff = g[0] - g[1]
-    w, v = np.linalg.eigh(diff)
-    resid = diff @ v
-    dvv = np.einsum("ji,ji->i", v.conj(), resid).real  # the diagonal of v^dagger D v
-    resid -= v * w
-    err = float(np.linalg.norm(resid))
-    del diff, resid
-    tr_g1 = float(np.trace(g[1]).real)
-    total, last, history, iterations = 0.0, None, [], 0
-    while True:
-        f = (0.5 + total / 2 * w).clip(0.0, 1.0)
-        wf = w * f
-        value = tr_g1 + float(f @ dvv)
-        lam = max(0.0, float(-wf.min()), float((w - wf).max()) + err)
-        gap = tr_g1 + float(wf.sum()) + lam * d - value
-        history.append((iterations, value, gap, step))
-        # a repeated f is the same iterate: its gap cannot fall any further
-        if gap <= opts.gap_tol or iterations >= opts.max_iters or (f == last).all():
-            break
-        last = f
-        total += step
-        iterations += 1
-        if step * g_norm < _MAX_STEP_NORM:
-            step *= 2
-    m0 = _spectral(v, f)
-    m = np.stack([m0, np.eye(d, dtype=m0.dtype) - m0])
-    z = g[1] + _spectral(v, wf)
-    resid_min = np.array([float((wf - w).min()) - err, float(wf.min())])
-    return m, (value, z, resid_min, lam), iterations, history, "projected-ascent"
 
 
 @dataclass(frozen=True)

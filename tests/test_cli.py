@@ -84,12 +84,26 @@ def test_bad_params_exits_2(capsys):
 
 
 def test_nonconvergence_exits_3(tmp_path, capsys):
-    e = random_two_state_ensemble(np.random.default_rng(0))
+    # a non-commuting n = 3 ensemble takes the barrier, which without a
+    # Newton step reports its starting bracket, unconverged
+    e = random_ensemble(np.random.default_rng(0), 3)
     path = tmp_path / "ens.json"
     path.write_text(json.dumps(ensemble_to_dict(e)))
     code, out, _ = run(capsys, "qg", "--ensemble", str(path), "--max-iters", "0")
     assert code == 3
-    assert not json.loads(out)["converged"]
+    payload = json.loads(out)
+    assert not payload["converged"] and payload["method"] == "log-det-barrier"
+
+
+def test_two_state_solve_needs_no_iteration_budget(tmp_path, capsys):
+    # two states are a closed form: converged at --max-iters 0
+    e = random_two_state_ensemble(np.random.default_rng(0))
+    path = tmp_path / "ens.json"
+    path.write_text(json.dumps(ensemble_to_dict(e)))
+    code, out, _ = run(capsys, "qg", "--ensemble", str(path), "--max-iters", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["converged"] and payload["iterations"] == 0
 
 
 def test_gap_tol_below_rounding_exits_3_without_spending_the_budget(tmp_path, capsys):

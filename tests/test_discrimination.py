@@ -27,9 +27,8 @@ from pthide import (
 )
 from pthide import discrimination
 from pthide.constructions import bell_state, example1, example2
-from pthide.discrimination import _MAX_STEP_NORM, _dual_lift, _objective_operators
-from pthide.discrimination import _barrier, _repair_povm, _solve_stack
-from pthide.operators import _eig_apply
+from pthide.discrimination import _barrier, _helstrom, _objective_operators, _repair_povm
+from pthide.discrimination import _solve_stack
 
 from conftest import permuted_block_ensemble, permuted_block_stack, random_ensemble
 from conftest import random_hermitian, random_povm, random_state, random_two_state_ensemble
@@ -127,7 +126,7 @@ def test_solver_matches_closed_forms_both_objectives():
 
 
 def test_solver_single_state_ensemble():
-    # one operator commutes with itself, so n = 1 never reaches the ascent
+    # one operator commutes with itself, so n = 1 never reaches the barrier
     rng = np.random.default_rng(7)
     for dims in (BipartiteDims(2, 2), BipartiteDims(2, 3), BipartiteDims(3, 3)):
         for complex_entries in (False, True):
@@ -201,20 +200,22 @@ def test_fast_path_dual_is_feasible_on_near_commuting_stacks(eps):
 
 
 def _bell_ensembles():
+    """The four Bell states (the fast path) and example1's pair (the
+    two-state closed form), with the method each solve takes."""
     vecs = ([1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0])
     bells = StateEnsemble(
         D22, tuple((0.25, HermitianOperator(D22, np.outer(v, v) / 2.0)) for v in vecs)
     )
-    return [bells, example1(bell_state())]
+    return [(bells, "commuting-eigenbasis"), (example1(bell_state()), "helstrom")]
 
 
 def test_fast_path_gap_is_nonnegative_on_bell_ensembles():
     # the four Bell states reported gap -5.55e-17 when the unshifted dual
     # was trusted; the Weyl shift makes the bracket hold on the matrices
-    for e in _bell_ensembles():
+    for e, method in _bell_ensembles():
         for use_pt in (True, False):
             rep = solve_optimal_value(e, use_pt=use_pt)
-            assert rep.method == "commuting-eigenbasis"
+            assert rep.method == method
             assert rep.gap >= 0.0 and rep.converged
             if use_pt:
                 out = dual_bound(e, rep.dual_h)
@@ -222,20 +223,23 @@ def test_fast_path_gap_is_nonnegative_on_bell_ensembles():
                 assert abs(out.bound - (rep.value + rep.gap)) <= 1e-12
 
 
-def _three_path_cases():
-    """One ensemble per solver path: the commuting fast path, the two-state
-    eigenbasis ascent and the log-det barrier."""
+def _path_cases():
+    """One dense ensemble per solver path, for both objectives: the
+    two-state closed form, the commuting fast path (real states on 1x6, on
+    which partial transposition is the identity) and the log-det barrier."""
     rng = np.random.default_rng(29)
+    d16 = BipartiteDims(1, 6)
+    commuting = permuted_block_ensemble(rng, d16, [6], 3, (0,), complex_entries=False)
     return [
-        (example2(d=3, m=1, n=2).ensemble, "commuting-eigenbasis"),
-        (random_two_state_ensemble(rng), "projected-ascent"),
+        (random_two_state_ensemble(rng), "helstrom"),
+        (commuting, "commuting-eigenbasis"),
         (random_ensemble(rng, 3), "log-det-barrier"),
     ]
 
 
 def test_solve_stack_is_solve_optimal_value_on_the_raw_stack():
     opts = SolverOptions(gap_tol=1e-7, max_iters=200)
-    for e, method in _three_path_cases():
+    for e, method in _path_cases():
         for use_pt in (True, False):
             rep = solve_optimal_value(e, use_pt=use_pt, opts=opts)
             m, lifted, iterations, history, got = _solve_stack(
@@ -260,8 +264,8 @@ def test_operators_are_built_only_where_they_are_returned(monkeypatch):
         built.append(self.dims)
         post_init(self)
 
-    cases = _three_path_cases()
-    pair = cases[1][0]
+    cases = _path_cases()
+    pair = cases[0][0]
     povm = helstrom_measurement(pair, use_pt=True)
     h = solve_optimal_value(pair).dual_h
     monkeypatch.setattr(HermitianOperator, "__post_init__", counted)
@@ -281,7 +285,7 @@ def test_operators_are_built_only_where_they_are_returned(monkeypatch):
 def test_fast_path_not_taken_for_generic_states():
     rng = np.random.default_rng(8)
     rep = solve_optimal_value(random_two_state_ensemble(rng), use_pt=True)
-    assert rep.method == "projected-ascent"
+    assert rep.method == "helstrom"
 
 
 def test_solver_value_history_monotone():
@@ -291,118 +295,102 @@ def test_solver_value_history_monotone():
         rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=1e-8))
         values = rep.value_history[:, 1]
         assert np.all(np.diff(values) >= -1e-10)
-        # rows are (iteration, value, gap, step), or (iteration, value, gap,
-        # t) for n > 2; the last row is the report
+        # rows are (iteration, value, gap, t) for n > 2, and the closed form
+        # for n = 2 is one row (0, value, gap, 0); the last row is the report
         assert rep.value_history.shape[1] == 4
-        iters, _, gaps, steps = rep.value_history.T
+        iters, _, gaps, ts = rep.value_history.T
         assert iters[-1] == rep.iterations and values[-1] == rep.value
         assert abs(gaps[-1] - rep.gap) <= 1e-12 and gaps[-1] <= 1e-8
-        assert np.all(steps > 0)
         if n == 2:
-            # exact projections are never rejected, so the step doubles every row
-            assert np.allclose(steps[1:], 2 * steps[:-1], rtol=1e-15)
-
-
-def test_geometric_schedule_converges_in_tens_of_iterations():
-    rng = np.random.default_rng(16)
-    opts = SolverOptions(gap_tol=1e-7)
-    for _ in range(20):
-        e = random_two_state_ensemble(rng)
-        for ell in (2, 3):
-            rep = solve_optimal_value(coarse_grain(e, ell), use_pt=True, opts=opts)
-            # two-state solves run the optimizer, never the closed form
-            assert rep.method == "projected-ascent"
-            assert rep.converged
-            assert 0 < rep.iterations <= 40
-            closed = qg_level_two_state(e, ell)
-            assert rep.value - 1e-9 <= closed <= rep.value + rep.gap + 1e-9
-
-
-def _clip_ascent_oracle(g, opts):
-    """The two-state loop on matrices: every step projects M + step * G onto
-    the POVM set by the n = 2 clip, and lifts the dual from the iterate."""
-    d = g.shape[-1]
-    eye = np.eye(d, dtype=g.dtype)
-    g_norm = max(float(np.linalg.norm(g)), 1e-300)
-    step = 2.0 / g_norm
-    m = np.stack([eye / 2, eye / 2])
-    value, z, _, lam = _dual_lift(g, m)
-    history, iterations = [], 0
-    while True:
-        history.append((iterations, value, lam * d, step))
-        if lam * d <= opts.gap_tol or iterations >= opts.max_iters:
-            break
-        x = m + step * g
-        # minimize ||M0 - X0||^2 + ||(I - M0) - X1||^2 over 0 <= M0 <= I
-        m0 = _eig_apply((x[0] + eye - x[1]) / 2, lambda w: np.clip(w, 0.0, 1.0))
-        m = np.stack([m0, eye - m0])
-        iterations += 1
-        value, z, _, lam = _dual_lift(g, m)
-        if step * g_norm < _MAX_STEP_NORM:
-            step *= 2
-    gap = float(np.trace(z).real) + lam * d - value
-    return iterations, np.array(history), value, gap
+            assert rep.value_history.tolist() == [[0, rep.value, rep.gap, 0.0]]
+        else:
+            assert np.all(ts > 0)
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
-def test_two_state_eigenbasis_path_matches_clip_oracle(complex_entries):
+def test_two_state_solve_is_the_closed_form(complex_entries):
+    # both objectives, L=1..3: no iteration, one history row, and the value
+    # of the closed forms to rounding, inside a checked bracket
     rng = np.random.default_rng([17, complex_entries])
-    cases = [(ell, SolverOptions(gap_tol=1e-7)) for ell in (1, 2, 3)]
-    cut = SolverOptions(gap_tol=1e-10, max_iters=2)
-    cases.append((2, cut))
-    for _ in range(3):
+    opts = SolverOptions(gap_tol=1e-7)
+    for _ in range(5):
         e = random_two_state_ensemble(rng, complex_entries=complex_entries)
-        for ell, opts in cases:
+        for ell in (1, 2, 3):
             ce = coarse_grain(e, ell)
-            rep = solve_optimal_value(ce, use_pt=True, opts=opts)
-            assert rep.method == "projected-ascent"
-            iterations, history, value, gap = _clip_ascent_oracle(
-                _objective_operators(ce, use_pt=True), opts
-            )
-            assert rep.iterations == iterations
-            assert rep.value_history.shape == history.shape
-            assert np.abs(rep.value_history - history).max() <= 1e-12
-            assert abs(rep.value - value) <= 1e-12 and abs(rep.gap - gap) <= 1e-12
-            assert rep.converged == (opts is not cut)
-            closed = qg_level_two_state(e, ell)
-            assert rep.value - 1e-9 <= closed <= rep.value + rep.gap + 1e-9
-            assert dual_bound(ce, rep.dual_h).feasible
+            for use_pt, closed in ((True, qg_two_state(ce)), (False, helstrom_two_state(ce))):
+                rep = solve_optimal_value(ce, use_pt=use_pt, opts=opts)
+                assert rep.method == "helstrom"
+                assert rep.converged and rep.iterations == 0
+                assert rep.value_history.shape == (1, 4)
+                assert abs(rep.value - closed) <= 1e-12
+                assert 0.0 <= rep.gap <= 1e-12
+                assert all(ok for _, _, ok in validate_povm(rep.povm))
+                if use_pt:
+                    assert abs(rep.value - qg_level_two_state(e, ell)) <= 1e-12
+                    out = dual_bound(ce, rep.dual_h)
+                    assert out.feasible and abs(out.bound - (rep.value + rep.gap)) <= 1e-12
 
 
-def test_two_state_gap_missed_by_rounding_is_checked_on_matrices():
-    # at gap_tol=0 the eigenvalue model stops once every eigenvalue clips, but
-    # the gap of the actual matrices is rounding above 0: the iterate is
-    # checked on its matrices, and as the next iterate is the same matrix the
-    # run stops there, unconverged, long before its budget
+@pytest.mark.parametrize("use_pt", [True, False])
+def test_two_state_povm_is_helstrom_measurement(use_pt):
+    # a dense two-state solve reports helstrom_measurement's POVM, bit for bit
+    rng = np.random.default_rng([18, use_pt])
+    for complex_entries in (False, True):
+        for ell in (1, 2):
+            e = coarse_grain(random_two_state_ensemble(rng, complex_entries=complex_entries), ell)
+            assert len(discrimination._components(_objective_operators(e, use_pt))) == 1
+            rep = solve_optimal_value(e, use_pt=use_pt)
+            povm = helstrom_measurement(e, use_pt=use_pt)
+            for got, want in zip(rep.povm.elements, povm.elements):
+                assert np.array_equal(got.entries, want.entries)
+
+
+def test_two_state_gap_is_zero_where_the_eigenbasis_is_exact():
+    # err = ||D v - v diag(w)||_F is exactly 0 on the blocks of example1's
+    # PT objective and on diagonal stacks of dyadic entries, and there the
+    # bracket closes: the gap is 0, so the solve converges at gap_tol=0
+    rep = solve_optimal_value(example1(bell_state()), opts=SolverOptions(gap_tol=0.0))
+    assert rep.method == "helstrom" and rep.gap == 0.0 and rep.converged
+    assert abs(rep.value - 0.75) <= 1e-15
+    rng = np.random.default_rng(20)
+    for _ in range(10):
+        g = np.stack([np.diag(rng.choice([0.0, 0.25, 0.5], 6)) for _ in range(2)])
+        w, v = np.linalg.eigh(g[0] - g[1])
+        assert np.linalg.norm((g[0] - g[1]) @ v - v * w) == 0.0
+        m, (value, h, _, lam), iterations, history, method = _helstrom(g)
+        assert (method, iterations, lam) == ("helstrom", 0, 0.0)
+        assert history == [(0, value, 0.0, 0.0)] and float(np.trace(h)) == value
+        assert value == np.maximum(g[0], g[1]).trace()
+        # the projector puts every index on a state with the larger entry
+        top = np.where(m[0].diagonal() == 1.0, g[0].diagonal(), g[1].diagonal())
+        assert np.array_equal(top, np.maximum(g[0], g[1]).diagonal())
+
+
+def test_two_state_gap_at_zero_tolerance_is_rounding_above_zero():
+    # a generic pair's eigenbasis residual is rounding above 0, and so is
+    # the certified gap: at gap_tol=0 the solve is unconverged, with no
+    # iteration and the same report at every budget
     base = random_two_state_ensemble(np.random.default_rng(19))
     e = coarse_grain(base, 2)
     reps = [
         solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=0.0, max_iters=budget))
-        for budget in (30, 2000, SolverOptions().max_iters)
+        for budget in (0, 30, SolverOptions().max_iters)
     ]
     rep = reps[0]
-    assert rep.iterations <= 64 and not rep.converged
-    iters, values, gaps, _ = rep.value_history.T
-    assert np.array_equal(iters, np.arange(rep.iterations + 1))
-    assert values[-1] == values[-2] and gaps[-1] == gaps[-2]
-    assert 0.0 < gaps[-1] <= 1e-12 and abs(gaps[-1] - rep.gap) <= 1e-12
+    assert rep.method == "helstrom" and rep.iterations == 0 and not rep.converged
+    assert 0.0 < rep.gap <= 1e-12
     for other in reps[1:]:
-        assert other.iterations == rep.iterations and not other.converged
-        assert other.value == rep.value and other.gap == rep.gap
-        assert np.array_equal(other.value_history, rep.value_history)
-    # the same bracket as lifting every iterate on matrices until the budget
-    _, _, value, gap = _clip_ascent_oracle(
-        _objective_operators(e, use_pt=True), SolverOptions(gap_tol=0.0, max_iters=30)
-    )
-    assert abs(rep.value - value) <= 1e-12 and abs(rep.gap - gap) <= 1e-12
+        assert (other.value, other.gap, other.iterations) == (rep.value, rep.gap, 0)
+        assert not other.converged
     closed = qg_level_two_state(base, 2)
-    assert rep.value - 1e-9 <= closed <= rep.value + rep.gap + 1e-9
-    assert dual_bound(e, rep.dual_h).feasible
+    assert rep.value - 1e-12 <= closed <= rep.value + rep.gap + 1e-12
+    out = dual_bound(e, rep.dual_h)
+    assert out.feasible and abs(out.bound - (rep.value + rep.gap)) <= 1e-12
 
 
-def test_two_state_solve_spectral_calls_do_not_grow_with_iterations(monkeypatch):
-    # D = G0 - G1 has small eigenvalues here, so the tighter gap costs 16 more
-    # iterations (13 -> 29); on most instances every eigenvalue clips early
+def test_two_state_solve_takes_one_eigh_and_no_eigvalsh(monkeypatch):
+    # the closed form needs one eigh of G0 - G1, whatever the tolerance, and
+    # certifies its gap from that eigh's residual with no further spectrum
     e = coarse_grain(random_two_state_ensemble(np.random.default_rng(23)), 3)
     calls = {"eigh": 0, "eigvalsh": 0}
     for name in calls:
@@ -412,18 +400,11 @@ def test_two_state_solve_spectral_calls_do_not_grow_with_iterations(monkeypatch)
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
-    counts, iterations = [], []
-    for gap_tol in (1e-4, 1e-10):
+    for gap_tol in (1e-4, 1e-10, 0.0):
         calls.update(eigh=0, eigvalsh=0)
         rep = solve_optimal_value(e, use_pt=True, opts=SolverOptions(gap_tol=gap_tol))
-        assert rep.method == "projected-ascent" and rep.converged
-        counts.append(dict(calls))
-        iterations.append(rep.iterations)
-    assert iterations[1] >= iterations[0] + 10
-    assert counts[0] == counts[1]
-    assert counts[0]["eigh"] + counts[0]["eigvalsh"] < iterations[0]
-    # the bracket is certified from the one eigh's residual, with no spectrum
-    assert counts[0]["eigvalsh"] == 0
+        assert rep.method == "helstrom" and rep.iterations == 0
+        assert calls == {"eigh": 1, "eigvalsh": 0}
 
 
 @settings(max_examples=40, deadline=None)
@@ -804,13 +785,13 @@ def test_dual_bound_cholesky_verdict_matches_the_spectrum(
 
 def _oracle_brackets(g, opts, iterative=True):
     """[value, value + gap] of every unsplit solve that applies to the full
-    stack g: the commuting fast path when it accepts, and (if ``iterative``)
-    the two-state ascent or the barrier."""
+    stack g: the commuting fast path when it accepts, and the two-state
+    closed form or (if ``iterative``) the barrier."""
     runs = [discrimination._try_commuting_solve(g, opts)]
-    if iterative:
-        runs.append(
-            discrimination._two_state_ascent(g, opts) if g.shape[0] == 2 else _barrier(g, opts)
-        )
+    if g.shape[0] == 2:
+        runs.append(_helstrom(g))
+    elif iterative:
+        runs.append(_barrier(g, opts))
     out = []
     for run in filter(None, runs):
         _, (value, z, _, lam), _, _, method = run
@@ -841,7 +822,7 @@ def test_split_solve_matches_the_unsplit_oracles_on_werner_stacks():
         g = _objective_operators(e, use_pt)
         assert len(discrimination._components(g)) > 1
         rep = solve_optimal_value(e, use_pt=use_pt, opts=opts)
-        assert rep.method == "commuting-eigenbasis"
+        assert rep.method == ("helstrom" if e.n == 2 else "commuting-eigenbasis")
         _assert_split_report(rep, opts)
         brackets = _oracle_brackets(g, opts if e.dims.total < 256 else loose, iterative)
         assert brackets[0][0] == "commuting-eigenbasis"
@@ -857,11 +838,11 @@ def test_split_solve_matches_the_unsplit_oracles_on_werner_stacks():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_split_solve_mixes_paths_and_brackets_the_unsplit_oracles(n):
-    # commuting blocks take the fast path, the others the ascent (n = 2) or
-    # the barrier (n = 3), and the 1x1 blocks the exact step
+    # for n = 3 commuting blocks take the fast path and the others the
+    # barrier; for n = 2 every block takes the closed form; the 1x1 blocks
+    # take the exact step
     rng = np.random.default_rng([47, n])
     opts = SolverOptions(gap_tol=1e-7)
-    path = "projected-ascent" if n == 2 else "log-det-barrier"
     for sizes, commuting, dims in (
         ([1, 2, 3, 1, 4, 1], (1, 4), BipartiteDims(3, 4)),
         ([3, 1, 3, 1], (0,), BipartiteDims(2, 4)),
@@ -871,10 +852,12 @@ def test_split_solve_mixes_paths_and_brackets_the_unsplit_oracles(n):
             e = permuted_block_ensemble(rng, dims, sizes, n, commuting)
             g = _objective_operators(e, use_pt=True)
             rep = solve_optimal_value(e, use_pt=True, opts=opts)
-            methods = sorted({"commuting-eigenbasis", path} if commuting else {path})
-            assert rep.method == "+".join(methods)
+            if n == 2:
+                method = "helstrom"
+            else:
+                method = "commuting-eigenbasis+log-det-barrier" if commuting else "log-det-barrier"
+            assert rep.method == method and (rep.iterations > 0) == (n == 3)
             _assert_split_report(rep, opts)
-            assert rep.iterations > 0
             for _, value, gap in _oracle_brackets(g, opts):
                 assert value <= rep.value + rep.gap + 1e-12
                 assert rep.value <= value + gap + 1e-12
@@ -900,22 +883,23 @@ def test_split_reports_of_diagonal_stacks_are_exact():
 
 
 def _residual_cases():
-    """One ensemble and objective per path: the dense fast path, the ascent,
-    the barrier, and split stacks that mix the fast path with each."""
+    """One ensemble and objective per path: the dense fast path, the
+    two-state closed form, the barrier, and split stacks of the closed form
+    and of the fast path with the barrier."""
     rng = np.random.default_rng(59)
     d23 = BipartiteDims(2, 3)
-    pair = permuted_block_stack(rng, 2, [6], commuting=(0,))
+    triple = permuted_block_stack(rng, 3, [6], commuting=(0,))
     commuting = StateEnsemble(
-        d23, tuple((0.5, HermitianOperator(d23, p / np.trace(p).real)) for p in pair)
+        d23, tuple((1 / 3, HermitianOperator(d23, p / np.trace(p).real)) for p in triple)
     )
     return [
         (commuting, False, "commuting-eigenbasis"),
-        (random_two_state_ensemble(rng), True, "projected-ascent"),
+        (random_two_state_ensemble(rng), True, "helstrom"),
         (random_ensemble(rng, 3, d23), True, "log-det-barrier"),
         (
             permuted_block_ensemble(rng, BipartiteDims(2, 4), [3, 1, 4], 2, (0,)),
             True,
-            "commuting-eigenbasis+projected-ascent",
+            "helstrom",
         ),
         (
             permuted_block_ensemble(rng, BipartiteDims(2, 4), [3, 1, 4], 3, (0,)),
