@@ -27,8 +27,9 @@ from pthide import (
 )
 from pthide import discrimination
 from pthide.constructions import bell_state, example1, example2
-from pthide.discrimination import _barrier, _helstrom, _objective_operators, _repair_povm
-from pthide.discrimination import _solve_stack
+from pthide.discrimination import _barrier, _dual_lift, _helstrom, _objective_operators
+from pthide.discrimination import _repair_povm, _solve_stack
+from pthide.operators import _eig_apply
 
 from conftest import permuted_block_ensemble, permuted_block_stack, random_ensemble
 from conftest import random_hermitian, random_povm, random_state, random_two_state_ensemble
@@ -329,6 +330,83 @@ def test_two_state_solve_is_the_closed_form(complex_entries):
                     assert abs(rep.value - qg_level_two_state(e, ell)) <= 1e-12
                     out = dual_bound(ce, rep.dual_h)
                     assert out.feasible and abs(out.bound - (rep.value + rep.gap)) <= 1e-12
+
+
+def test_geometric_schedule_converges_in_tens_of_iterations():
+    # n > 2 solves run the barrier: t grows by exactly _T_FACTOR per centring,
+    # and on L-copy objectives of 3 and 4 states (D up to 36) the run
+    # converges at gap_tol=1e-7 within 10 centrings and tens of Newton steps
+    # (26-41 here); two-state solves need no schedule at all
+    rng = np.random.default_rng(16)
+    opts = SolverOptions(gap_tol=1e-7)
+    for _ in range(5):
+        for n in (3, 4):
+            e = random_ensemble(rng, n)
+            for ell in (1, 2):
+                ce = coarse_grain(e, ell)
+                rep = solve_optimal_value(ce, use_pt=True, opts=opts)
+                assert rep.method == "log-det-barrier"
+                assert rep.converged
+                assert 0 < rep.iterations <= 60
+                iters, _, _, ts = rep.value_history.T
+                assert len(ts) <= 10 and iters[-1] == rep.iterations
+                assert np.array_equal(ts[1:], ts[:-1] * discrimination._T_FACTOR)
+                out = dual_bound(ce, rep.dual_h)
+                assert out.feasible and abs(out.bound - (rep.value + rep.gap)) <= 1e-12
+
+
+def _clip_ascent_oracle(g, opts):
+    """An independent two-state solve on matrices: every step projects
+    M + step * G onto the POVM set by the n = 2 clip, the step doubling up
+    to a cap, and lifts the dual from the iterate."""
+    d = g.shape[-1]
+    eye = np.eye(d, dtype=g.dtype)
+    g_norm = max(float(np.linalg.norm(g)), 1e-300)
+    step = 2.0 / g_norm
+    m = np.stack([eye / 2, eye / 2])
+    value, z, _, lam = _dual_lift(g, m)
+    iterations = 0
+    while lam * d > opts.gap_tol and iterations < opts.max_iters:
+        x = m + step * g
+        # minimize ||M0 - X0||^2 + ||(I - M0) - X1||^2 over 0 <= M0 <= I
+        m0 = _eig_apply((x[0] + eye - x[1]) / 2, lambda w: np.clip(w, 0.0, 1.0))
+        m = np.stack([m0, eye - m0])
+        iterations += 1
+        value, z, _, lam = _dual_lift(g, m)
+        if step * g_norm < 1.0 / np.finfo(float).eps:
+            step *= 2
+    gap = float(np.trace(z).real) + lam * d - value
+    return iterations, value, gap
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_two_state_eigenbasis_path_matches_clip_oracle(complex_entries):
+    # the closed form's bracket overlaps the clip-loop oracle's and is never
+    # wider, whether the oracle converges or is cut after 2 steps
+    rng = np.random.default_rng([17, complex_entries])
+    cases = [(ell, SolverOptions(gap_tol=1e-7)) for ell in (1, 2, 3)]
+    cut = SolverOptions(gap_tol=1e-10, max_iters=2)
+    cases.append((2, cut))
+    for _ in range(3):
+        e = random_two_state_ensemble(rng, complex_entries=complex_entries)
+        for ell, opts in cases:
+            ce = coarse_grain(e, ell)
+            rep = solve_optimal_value(ce, use_pt=True, opts=opts)
+            assert rep.method == "helstrom" and rep.iterations == 0 and rep.converged
+            iterations, value, gap = _clip_ascent_oracle(
+                _objective_operators(ce, use_pt=True), opts
+            )
+            assert value - 1e-12 <= rep.value + rep.gap
+            assert rep.value <= value + gap + 1e-12
+            assert rep.gap <= gap + 1e-12
+            if opts is cut:
+                assert iterations == 2 and gap > opts.gap_tol
+            else:
+                assert 0 < iterations and gap <= opts.gap_tol
+                assert abs(rep.value - value) <= opts.gap_tol
+            closed = qg_level_two_state(e, ell)
+            assert rep.value - 1e-12 <= closed <= rep.value + rep.gap + 1e-12
+            assert dual_bound(ce, rep.dual_h).feasible
 
 
 @pytest.mark.parametrize("use_pt", [True, False])
