@@ -129,7 +129,7 @@ def orthogonal_support_strategy(
     :func:`pthide.ensembles.coarse_grain`.  The part of the space outside
     every support goes to outcome 0.  Bell example at L=5 (side 1024),
     median of 5 (numpy 2.4.6, one BLAS thread, 2-core x86-64): 0.82 s with
-    an ``eigh`` of every coarse-grained bin state, 0.12 s copy by copy.
+    an ``eigh`` of every coarse-grained bin state, 31 ms copy by copy.
     """
     if not is_mutually_orthogonal(ensemble):
         raise ValueError("support projectors require a mutually orthogonal ensemble")

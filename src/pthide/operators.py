@@ -26,6 +26,14 @@ DEFAULT_DIM_CAP = 4096
 
 HERMITICITY_ATOL = 1e-12
 
+#: Side of the square tiles :func:`_hermiticity` walks.  A whole-matrix
+#: ``x - x.conj().T`` reads the transpose down columns, and at a power-of-two
+#: side every column step lands on the same cache sets.  Checking a real
+#: matrix (numpy 2.4.6, medians of 5) took, with tiles of 64 / 128 / 256 and
+#: in one pass: 5.0 / 3.2 / 4.2 / 15.0 ms at side 1024, and
+#: 0.21 / 0.13 / 0.16 / 0.69 s at side 6561.
+_HERMITICITY_TILE = 128
+
 
 @dataclass(frozen=True)
 class BipartiteDims:
@@ -52,6 +60,36 @@ def _coerce_entries(entries) -> np.ndarray:
     return arr.astype(np.float64, copy=False)
 
 
+def _hermiticity(arr: np.ndarray) -> tuple[float, float]:
+    """``(max |x_ij|, max |x_ij - conj(x_ji)|)`` of a square array, taken
+    over pairs of mirrored ``_HERMITICITY_TILE`` tiles (I, J) and (J, I)
+    with I <= J, so no temporary of the array's side is made.  Both maxima
+    equal the whole-matrix ones bit for bit: |x_ji - conj(x_ij)| is the
+    modulus of the exact negated conjugate of x_ij - conj(x_ji).  A NaN or
+    infinite entry raises ``ValueError``; each tile's max |x| is tested
+    before the subtraction, which would warn on it."""
+    t = _HERMITICITY_TILE
+    d = arr.shape[0]
+    if d <= t:
+        scale = np.abs(arr).max()
+        if not scale < np.inf:
+            raise ValueError("matrix has a non-finite entry")
+        return scale, np.abs(arr - arr.conj().T).max()
+    scale = dev = 0.0
+    for i in range(0, d, t):
+        for j in range(i, d, t):
+            a = arr[i : i + t, j : j + t]
+            b = arr[j : j + t, i : i + t]
+            ma = np.abs(a).max()
+            mb = np.abs(b).max() if j > i else ma
+            # each maximum on its own: Python's max drops a NaN second argument
+            if not (ma < np.inf and mb < np.inf):
+                raise ValueError("matrix has a non-finite entry")
+            scale = max(scale, ma, mb)
+            dev = max(dev, np.abs(a - b.conj().T).max())
+    return scale, dev
+
+
 @dataclass(frozen=True)
 class HermitianOperator:
     """A Hermitian matrix tagged with the bipartite dimensions it acts on.
@@ -69,9 +107,8 @@ class HermitianOperator:
             raise ValueError(
                 f"matrix side {arr.shape[0]} does not match dA*dB = {self.dims.total}"
             )
-        scale = 1.0 + (np.abs(arr).max() if arr.size else 0.0)
-        dev = np.abs(arr - arr.conj().T).max() if arr.size else 0.0
-        if dev > HERMITICITY_ATOL * scale:
+        scale, dev = _hermiticity(arr)
+        if dev > HERMITICITY_ATOL * (1.0 + scale):
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         object.__setattr__(self, "entries", arr)
 

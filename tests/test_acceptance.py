@@ -2,9 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Every tolerance is
 pinned here; nothing is deferred to later calibration.  Measured with
-``pytest --durations=15`` on two cores: criterion 4 (a 6561-dimensional
-explicit instance) took 88-100 s and criterion 3 (100 brute-force level
-solves) 3.4-3.8 s over two runs; every other test took under 1 s.
+``pytest --durations`` on two cores (numpy 2.4.6) in four full-suite runs:
+criterion 4 (a 6561-dimensional explicit instance) took 6.2-7.8 s and
+criterion 3 (100 brute-force level solves) at most 1.2 s; every other
+test took under 0.5 s.
 """
 
 import time

@@ -62,6 +62,23 @@ def test_validate_malformed_probabilities_exits_2(tmp_path, capsys):
     assert not json.loads(out)["ok"]
 
 
+@pytest.mark.parametrize("subcommand", ["qg", "bounds"])
+@pytest.mark.parametrize("field", ["entry", "eta"])
+def test_non_finite_ensemble_file_exits_2(tmp_path, capsys, subcommand, field):
+    payload = ensemble_to_dict(example1(bell_state()))
+    if field == "entry":
+        payload["items"][0]["rho"]["re"][1][2] = float("nan")
+    else:
+        payload["items"][0]["eta"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(payload))  # json writes and reads NaN
+    extra = ("--lmax", "4") if subcommand == "bounds" else ()
+    code, out, err = run(capsys, subcommand, "--ensemble", str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
 def test_validate_good_ensemble(capsys):
     code, out, _ = run(capsys, "validate", "--ensemble", "bell-example1")
     assert code == 0

@@ -267,6 +267,66 @@ def test_tensor_bins_of_projectors_sum_the_index_vectors(n, copies, local, compl
         assert np.abs(b - ref).max() <= 1e-12
 
 
+def _append_order_bins(mats, dims, copies):
+    """Oracle for _tensor_bins: each added copy joins as the right factor."""
+    from pthide.ensembles import _mod_sum_bins
+    from pthide.operators import _blocks, _kron
+
+    dtype = np.result_type(*mats)
+    bins = _mod_sum_bins([_blocks(m.astype(dtype, copy=False), dims) for m in mats], copies, _kron)
+    side = dims.total**copies
+    return [b.reshape(side, side) for b in bins]
+
+
+def _partitions(bins, dims):
+    """The _components partitions of the plain and the partially transposed stack."""
+    from pthide.operators import _components, _pt
+
+    stack = np.stack(bins)
+    return [_components(stack), _components(_pt(stack, dims))]
+
+
+def _werner_and_random_bin_cases():
+    for (d, m, n), max_copies in (((2, 1, 2), 5), ((3, 1, 2), 3), ((2, 2, 3), 2), ((2, 2, 4), 2)):
+        for copies in range(2, max_copies + 1):
+            yield example2(d=d, m=m, n=n).ensemble, copies, True
+    rng = np.random.default_rng(71)
+    for dims in (D22, BipartiteDims(1, 3)):
+        for n in range(2, 5):
+            for copies in range(1, 4):
+                yield random_ensemble(rng, n, dims), copies, False
+
+
+def test_tensor_bins_equal_the_append_order_oracle():
+    # a bin sums over every index vector of its modulo sum, so prepending each
+    # copy gives the same operator: bit for bit on the Werner families, to
+    # rounding on random complex ensembles, with the same block partition
+    from pthide.ensembles import _tensor_bins
+
+    for e, copies, exact in _werner_and_random_bin_cases():
+        mats = [eta * rho.entries for eta, rho in e.items]
+        got = _tensor_bins(mats, e.dims, copies)
+        ref = _append_order_bins(mats, e.dims, copies)
+        for b, r in zip(got, ref, strict=True):
+            assert b.dtype == r.dtype
+            if exact:
+                assert np.array_equal(b, r)
+            else:
+                assert np.abs(b - r).max() <= 1e-15 * np.abs(r).max()
+        folded = BipartiteDims(e.dims.dA**copies, e.dims.dB**copies)
+        for got_groups, ref_groups in zip(
+            _partitions(got, folded), _partitions(ref, folded), strict=True
+        ):
+            assert len(got_groups) == len(ref_groups)
+            assert all(np.array_equal(a, b) for a, b in zip(got_groups, ref_groups))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ensemble_refuses_non_finite_probability(bad):
+    with pytest.raises(ValueError, match="not finite"):
+        orthogonal_pair_ensemble(bad)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(2, 4),

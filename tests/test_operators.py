@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pthide import (
@@ -17,7 +17,7 @@ from pthide import (
     trace_norm,
 )
 from pthide.constructions import bell_state
-from pthide.operators import _components, _pt
+from pthide.operators import HERMITICITY_ATOL, _components, _hermiticity, _pt
 
 from conftest import permuted_block_stack, random_hermitian
 
@@ -46,6 +46,73 @@ def test_dims_validation():
 def test_operator_rejects_non_hermitian():
     with pytest.raises(ValueError, match="Hermitian"):
         HermitianOperator(D22, np.arange(16.0).reshape(4, 4))
+
+
+@pytest.mark.parametrize("side", [4, 300])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)])
+@pytest.mark.parametrize("where", [(0, 0), (1, 2), (-1, -2), (-1, 0), (0, -1)])
+def test_operator_refuses_non_finite_entries(side, bad, where):
+    # one bad entry, on the diagonal or off it, in a diagonal tile or in the
+    # lower or upper corner tile
+    x = np.eye(side, dtype=complex if np.iscomplexobj(bad) else float)
+    x[where] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        HermitianOperator(BipartiteDims(1, side), x)
+
+
+def _hermiticity_oracle(x):
+    """The whole-matrix check, in one pass: (max |x|, max |x - x^dagger|)."""
+    return np.abs(x).max(), np.abs(x - x.conj().T).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    side=st.sampled_from([1, 127, 128, 129, 257, 300]),
+    complex_entries=st.booleans(),
+    factor=st.sampled_from([0.0, 0.5, 0.999, 1.001, 2.0, 1e13]),
+    spot=st.tuples(st.floats(0, 1, exclude_max=True), st.floats(0, 1, exclude_max=True)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(side=300, complex_entries=True, factor=1e13, spot=(0.99, 0.01), seed=0)
+@example(side=300, complex_entries=False, factor=1e13, spot=(0.01, 0.99), seed=0)
+def test_tiled_hermiticity_check_equals_the_one_shot_oracle(
+    side, complex_entries, factor, spot, seed
+):
+    # a deviation just below or above HERMITICITY_ATOL * scale, anywhere
+    # across the tile grid, or one that makes the spot the largest entry:
+    # the tiled maxima equal the oracle's bit for bit, and the constructor
+    # refuses exactly what the oracle's verdict refuses
+    rng = np.random.default_rng(seed)
+    x = random_hermitian(BipartiteDims(1, side), rng, complex_entries).entries
+    k, l = (int(f * side) for f in spot)
+    step = factor * HERMITICITY_ATOL * (1.0 + np.abs(x).max())
+    if k != l:
+        x[k, l] += step
+    elif complex_entries:
+        x[k, k] += 0.5j * step
+    scale, dev = _hermiticity_oracle(x)
+    assert _hermiticity(x) == (scale, dev)
+    if dev > HERMITICITY_ATOL * (1.0 + scale):
+        with pytest.raises(ValueError, match="Hermitian"):
+            HermitianOperator(BipartiteDims(1, side), x)
+    else:
+        assert HermitianOperator(BipartiteDims(1, side), x).entries is x
+
+
+def test_hermiticity_check_makes_no_operator_sized_temporary():
+    # a side-1024 complex operator is 16 MiB; checking it walks 128 x 128
+    # tiles, where a whole-matrix x - x^dagger needs several 16 MiB arrays
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    x = random_hermitian(BipartiteDims(32, 32), rng).entries
+    tracemalloc.start()
+    try:
+        HermitianOperator(BipartiteDims(32, 32), x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_operator_rejects_dim_mismatch():
