@@ -27,9 +27,17 @@ convolution of the bin weights and, under parity, one per-copy Born table;
 it draws from the table and reads its own exact reference from it (see
 :class:`SimResult`): a run's ``analytic_reference`` equals
 :func:`exact_strategy_success` bit for bit, and is 1/n when the broadcast
-is withheld.  Memory is O(trials) whatever L.  Measured at 250,000 trials with parity on the Bell example
-(numpy 2.4.6, one thread, 2-core x86-64): 11-16 ns per copy and trial for
-broadcast, about 22 ns for direct encoding.
+is withheld.  Memory is O(trials) whatever L, and no copy allocates an
+array: its uniforms fill one float64 buffer from numpy's default PCG64
+generator, and its category count and the outcome parity are reused uint8
+vectors.  The broadcast's one-time pad takes no arithmetic: (x + y - g)
+mod n equals x exactly when g = y (mod n), so a trial succeeds when its
+guess is y mod n (a guess outside [0, n) is refused), and x is drawn only
+when the broadcast is withheld.  Measured at 250,000 trials with parity on
+the Bell example (numpy 2.4.6, one thread, 2-core x86-64; the time at
+L = 16 less that at L = 1, per copy): 4-6 ns per copy and trial for
+broadcast and 8-13 ns for direct encoding, against 9-16 and 14-22 ns
+with a Philox generator and intp sums.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ from .ensembles import (
 )
 from .operators import HermitianOperator, _hermitize
 
-RNG_NAME = "numpy-philox"
+RNG_NAME = "numpy-pcg64"
 #: Eigenvalues above this span the support of a single-copy state.
 _SUPPORT_TOL = 1e-10
 
@@ -97,7 +105,8 @@ class PerCopyParityStrategy:
 
 class GlobalPovmStrategy:
     """Measure the full L-copy state with one measurement; outcome o is the
-    guess ``guesses[o]``."""
+    guess ``guesses[o]``, which a run or exact value refuses outside
+    [0, n)."""
 
     name = "global-povm"
 
@@ -209,23 +218,32 @@ def _born_table(states, elements) -> np.ndarray:
     return table / row_sums[:, None]
 
 
-def _sample_rows(rng, table, rows: np.ndarray) -> np.ndarray:
-    """Categorical draws, one uniform each: from ``table[rows]`` when
-    ``table`` is 2-D, from the single law ``table`` for every entry of
-    ``rows`` when it is 1-D.
+def _sample_rows(rng, table, rows, out, buffers) -> np.ndarray:
+    """Categorical draws into ``out``, one uniform each: from ``table[rows]``
+    when ``table`` is 2-D, from the single law ``table`` for every entry of
+    ``rows`` when it is 1-D.  ``buffers`` holds three vectors of ``rows``'s
+    shape, the uniforms (float64, filled by ``rng.random(out=...)``, the
+    same stream as ``rng.random(shape)``), the comparisons (bool) and the
+    gathered thresholds (float64, for a 2-D table), so a draw allocates no
+    array.
 
     A draw counts the cumulative weights of its row at or below its uniform,
     capped at the last category.  With non-negative weights the cap is the
     same as never comparing the last column, so each other column takes one
-    pass over the draws.  The counts are kept in the smallest unsigned type
+    pass over the draws.  Callers give ``out`` the smallest unsigned type
     that holds the last category, where adding a comparison costs about a
-    third of adding it to an intp.
+    third of adding it to an intp.  A 2-D table's thresholds are gathered
+    with intp ``rows``, as narrow indices gather 2-7x slower, and with
+    ``mode="clip"`` (the rows are in range by construction), as the default
+    mode makes ``take`` buffer its output.
     """
+    u, hit, gathered = buffers
+    rng.random(out=u)
     cum = np.cumsum(table, axis=-1)
-    u = rng.random(rows.shape)
-    out = np.zeros(rows.shape, dtype=np.min_scalar_type(table.shape[-1] - 1))
+    out.fill(0)
     for k in range(table.shape[-1] - 1):
-        out += u >= (cum[..., k] if table.ndim == 1 else cum[:, k][rows])
+        edge = cum[k] if table.ndim == 1 else np.take(cum[:, k], rows, out=gathered, mode="clip")
+        out += np.greater_equal(u, edge, out=hit).view(np.uint8)
     return out
 
 
@@ -256,33 +274,41 @@ def _finish(success_mask, cfg, scheme, reference) -> SimResult:
     )
 
 
-def _draw_guesses(cfg: ProtocolConfig, rng, coarse, laws, state: np.ndarray) -> np.ndarray:
+def _draw_guesses(rng, coarse, laws, state: np.ndarray, n: int) -> np.ndarray:
     """Draw the copies one at a time and return the receiver's guesses.
 
     ``coarse`` is the run's :func:`_coarse_table`.  ``laws`` gives, copy by
     copy, the law of the copy's index c: 1-D for the same law in every
     trial, or 2-D with one row per value of ``state``, a (trials,) integer
-    vector to which each drawn c is added in place.  Under
-    parity, c and the copy's outcome o are drawn together, with one uniform,
-    from the 2n categories 2c + o of law(c) * P(o | c), P(o | c) being the
-    per-copy Born table in ``coarse``, and only the outcome parity is kept;
-    under a global POVM, whose outcome depends on the copies only through
-    the bin of their modulo-n sum, the outcome is drawn from that bin's row
-    of ``coarse``.  No (trials, copies) array and no n^L table is built.
+    vector (intp when it indexes rows) to which each drawn c is added in
+    place.  Under parity, c and the copy's outcome o are drawn together,
+    with one uniform, from the 2n categories 2c + o of law(c) * P(o | c),
+    P(o | c) being the per-copy Born table in ``coarse``, and only the
+    outcome parity is kept; under a global POVM, whose outcome depends on
+    the copies only through the bin of their modulo-n sum, the outcome is
+    drawn from that bin's row of ``coarse``.  The copies share one set of
+    :func:`_sample_rows` buffers, and the category count and the
+    parity are reused narrow unsigned vectors: no copy allocates an array,
+    and no (trials, copies) array or n^L table is built.
     """
     _, table, guesses, outcome = coarse
+    buffers = (np.empty(state.shape), np.empty(state.shape, dtype=bool), np.empty(state.shape))
+    k = np.empty(state.shape, dtype=np.min_scalar_type(2 * n - 1))
     if outcome is not None:
-        parity = np.zeros_like(state)
+        parity = np.zeros(state.shape, dtype=np.uint8)
         for law in laws:
             joint = (law[..., None] * outcome).reshape(*law.shape[:-1], -1)
-            k = _sample_rows(rng, joint, state)
-            state += k >> 1
-            parity ^= k & 1
-        return parity
+            _sample_rows(rng, joint, state, k, buffers)
+            parity ^= k  # k = 2c + o: the low bit is o; the rest is cleared below
+            k >>= 1
+            state += k
+        return parity & 1
     start = state.copy()
     for law in laws:
-        state += _sample_rows(rng, law, state)
-    return guesses[_sample_rows(rng, table, (state - start) % cfg.ensemble.n)]
+        state += _sample_rows(rng, law, state, k, buffers)
+    bins = ((state - start) % n).astype(np.intp, copy=False)
+    drawn = np.empty(state.shape, dtype=np.min_scalar_type(table.shape[1] - 1))
+    return guesses[_sample_rows(rng, table, bins, drawn, buffers)]
 
 
 def simulate_broadcast_scheme(
@@ -297,23 +323,25 @@ def simulate_broadcast_scheme(
     quantum copies and outputs z - y_guess.  With ``withhold_broadcast`` the
     receiver never sees z and can only output its y guess, so any strategy
     sits at chance level 1/n, which is then the run's reference (see
-    :class:`SimResult`).
+    :class:`SimResult`).  Since (x + y - y_guess) mod n = x exactly when
+    y_guess = y (mod n), a trial succeeds when y mod n equals its guess,
+    and x is drawn, after the copies, only when the broadcast is withheld.
 
     Copies are drawn one at a time, each index (jointly with its outcome
-    under parity) from one uniform, and only the running index sum and the
-    outcome parity are kept: memory is O(trials) whatever L, and a copy
-    costs 11-16 ns per trial under parity (see the module notes).
+    under parity) from one uniform, and only the running index sum (in the
+    narrowest unsigned type that holds (n - 1) L) and the outcome parity are
+    kept: memory is O(trials) whatever L, and a copy costs 4-6 ns per trial
+    under parity (see the module notes).
     """
     n = cfg.ensemble.n
     coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, cap)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
-    y = np.zeros(cfg.trials, dtype=np.intp)
-    laws = [cfg.ensemble.probabilities] * cfg.copies
-    y_guess = _draw_guesses(cfg, rng, coarse, laws, y)
-    x = rng.integers(0, n, cfg.trials)
-    x_guess = y_guess if withhold_broadcast else (x + y - y_guess) % n
-    reference = 1.0 / n if withhold_broadcast else _exact_success(coarse, "broadcast")
-    return _finish(x_guess == x, cfg, "broadcast", reference)
+    rng = np.random.default_rng(cfg.seed)
+    y = np.zeros(cfg.trials, dtype=np.min_scalar_type((n - 1) * cfg.copies))
+    guess = _draw_guesses(rng, coarse, [cfg.ensemble.probabilities] * cfg.copies, y, n)
+    if withhold_broadcast:
+        x = rng.integers(0, n, cfg.trials, dtype=np.min_scalar_type(n - 1))
+        return _finish(guess == x, cfg, "broadcast", 1.0 / n)
+    return _finish(y % n == guess, cfg, "broadcast", _exact_success(coarse, "broadcast"))
 
 
 def _direct_laws(etas: np.ndarray, copies: int):
@@ -354,14 +382,15 @@ def simulate_direct_encoding(
     its modulo-n sum, one copy at a time: each index is drawn from its law
     given the sum still to be drawn (:func:`_direct_laws`), jointly with its
     outcome under parity, from one uniform; memory is O(trials) whatever L,
-    and a copy costs about 22 ns per trial under parity (see the module
-    notes).  A symbol whose bin is empty (with uniform x: any empty bin) is
-    refused before any draw.
+    and a copy costs 8-13 ns per trial under parity (see the module
+    notes), of which the per-trial gathers of its law's thresholds take
+    about a third, as the uniforms do.  A symbol whose bin is empty (with
+    uniform x: any empty bin) is refused before any draw.
     """
     n = cfg.ensemble.n
     bin_eta, laws = _direct_laws(cfg.ensemble.probabilities, cfg.copies)
     coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, cap, bin_eta)
-    rng = np.random.Generator(np.random.Philox(cfg.seed))
+    rng = np.random.default_rng(cfg.seed)
     if x is None:
         if np.any(bin_eta <= 0.0):
             raise ValueError("a coarse bin has zero probability; direct encoding undefined")
@@ -372,9 +401,8 @@ def simulate_direct_encoding(
         if bin_eta[x] <= 0.0:
             raise ValueError(f"coarse bin {x} has zero probability; direct encoding undefined")
         xs = np.full(cfg.trials, x, dtype=np.intp)
-    x_guess = _draw_guesses(cfg, rng, coarse, laws, n - xs)
-    reference = _exact_success(coarse, "direct", x)
-    return _finish(x_guess == xs, cfg, "direct-encoding", reference)
+    guess = _draw_guesses(rng, coarse, laws, n - xs, n)
+    return _finish(guess == xs, cfg, "direct-encoding", _exact_success(coarse, "direct", x))
 
 
 def _coarse_table(ensemble: StateEnsemble, copies: int, strategy, cap: int | None, bin_eta=None):
@@ -383,7 +411,8 @@ def _coarse_table(ensemble: StateEnsemble, copies: int, strategy, cap: int | Non
     P(outcome | c) under parity (None for a global POVM).  The bins convolve
     over the copies: for parity the vectors eta_c * P(outcome | c), outcomes
     adding modulo 2; for a global POVM the states eta_c * rho_c, as in
-    :func:`pthide.ensembles.coarse_grain`.
+    :func:`pthide.ensembles.coarse_grain`.  A global guess outside [0, n)
+    is refused: a simulator compares guesses with symbols as they are.
     """
     etas = ensemble.probabilities
     if bin_eta is None:
@@ -402,6 +431,8 @@ def _coarse_table(ensemble: StateEnsemble, copies: int, strategy, cap: int | Non
     if isinstance(strategy, GlobalPovmStrategy):
         if ensemble.dims.total**copies != strategy.povm.dims.total:
             raise ValueError("POVM dims do not match the folded ensemble")
+        if np.any((strategy.guesses < 0) | (strategy.guesses >= ensemble.n)):
+            raise ValueError(f"guesses must lie in [0, {ensemble.n})")
         _folded_dims(ensemble.dims, copies, cap)
         weighted = [eta * rho.entries for eta, rho in ensemble.items]
         bins = _tensor_bins(weighted, ensemble.dims, copies)

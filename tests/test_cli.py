@@ -261,7 +261,7 @@ def test_hide_sim_json(capsys):
     ref = payload["analytic_reference"]
     assert abs(ref - 0.625) < 1e-9
     assert abs(payload["empirical_success"] - ref) <= 5 * payload["stderr"]
-    assert payload["rng"] == "numpy-philox"
+    assert payload["rng"] == "numpy-pcg64"
 
 
 def test_hide_sim_reference_honours_cap(capsys, monkeypatch):

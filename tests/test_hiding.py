@@ -72,10 +72,15 @@ def test_born_sampling_matches_probabilities():
     from pthide import StateEnsemble
     from pthide.hiding import _sample_rows
 
+    def draw(table, rows):
+        out = np.empty(rows.shape, dtype=np.min_scalar_type(table.shape[-1] - 1))
+        buffers = (np.empty(rows.shape), np.empty(rows.shape, dtype=bool), np.empty(rows.shape))
+        return _sample_rows(rng, table, rows, out, buffers)
+
     e = StateEnsemble(D22, ((1.0, rng_state),))
     table = strat.outcome_table(e)
     rng = np.random.default_rng(123)
-    outcomes = _sample_rows(rng, table[0], np.zeros(TRIALS, dtype=int))
+    outcomes = draw(table[0], np.zeros(TRIALS, dtype=int))
     for o in range(2):
         p = table[0, o]
         freq = float((outcomes == o).mean())
@@ -84,7 +89,7 @@ def test_born_sampling_matches_probabilities():
     # zero weights in the first, middle and last column are never drawn
     table = np.array([[0.0, 0.2, 0.5, 0.3], [0.1, 0.0, 0.6, 0.3], [0.25, 0.25, 0.5, 0.0]])
     rows = rng.integers(0, 3, TRIALS)
-    outcomes = _sample_rows(rng, table, rows)
+    outcomes = draw(table, rows)
     for r in range(3):
         drawn = outcomes[rows == r]
         for o in range(4):
@@ -669,3 +674,125 @@ def test_support_measurement_has_no_spectral_call_above_one_copy(monkeypatch, be
         sides.clear()
         orthogonal_support_strategy(ens, ell)
         assert sides and max(sides) <= ens.dims.total
+
+
+def test_guess_outside_the_symbols_is_refused(bell_ensemble):
+    # a guess is compared with the symbol as it is: one outside [0, n) can
+    # never be right, so it is refused before any draw or exact value
+    povm = orthogonal_support_strategy(bell_ensemble, 2).povm
+    for guesses in ([2, 3], [-1, 1], [0, 2]):
+        strat = GlobalPovmStrategy(povm, guesses)
+        cfg = ProtocolConfig(ensemble=bell_ensemble, copies=2, trials=1000, seed=3, strategy=strat)
+        for run in (
+            lambda: simulate_broadcast_scheme(cfg),
+            lambda: simulate_broadcast_scheme(cfg, withhold_broadcast=True),
+            lambda: simulate_direct_encoding(cfg),
+            lambda: exact_strategy_success(bell_ensemble, 2, strat),
+        ):
+            with pytest.raises(ValueError, match="guesses"):
+                run()
+
+
+def _oracle_sample_rows(rng, table, rows):
+    """The categorical draw of the allocating sampler: fresh arrays, intp rows."""
+    cum = np.cumsum(table, axis=-1)
+    u = rng.random(rows.shape)
+    out = np.zeros(rows.shape, dtype=np.min_scalar_type(table.shape[-1] - 1))
+    for k in range(table.shape[-1] - 1):
+        out += u >= (cum[..., k] if table.ndim == 1 else cum[:, k][rows])
+    return out
+
+
+def _oracle_success_mask(cfg, scheme, x=None):
+    """Oracle: the copy loop of the allocating sampler, with an intp running
+    sum and the one-time pad computed, (x + y - guess) mod n == x.  x is
+    drawn after the copies, as there, but in the simulator's narrowest type
+    rather than intp, which draws other values: only the withheld mask
+    reads it."""
+    from pthide.hiding import _coarse_table, _direct_laws
+
+    n = cfg.ensemble.n
+    rng = np.random.default_rng(cfg.seed)
+    if scheme in ("direct", "fixed"):
+        bin_eta, laws = _direct_laws(cfg.ensemble.probabilities, cfg.copies)
+        coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, None, bin_eta)
+        xs = rng.integers(0, n, cfg.trials) if x is None else np.full(cfg.trials, x, dtype=np.intp)
+        state = n - xs
+    else:
+        laws = [cfg.ensemble.probabilities] * cfg.copies
+        coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, None)
+        state = np.zeros(cfg.trials, dtype=np.intp)
+    _, table, guesses, outcome = coarse
+    start = state.copy()
+    if outcome is not None:
+        guess = np.zeros_like(state)
+        for law in laws:
+            joint = (law[..., None] * outcome).reshape(*law.shape[:-1], -1)
+            k = _oracle_sample_rows(rng, joint, state)
+            state += k >> 1
+            guess ^= k & 1
+    else:
+        for law in laws:
+            state += _oracle_sample_rows(rng, law, state)
+        guess = guesses[_oracle_sample_rows(rng, table, (state - start) % n)]
+    if scheme in ("direct", "fixed"):
+        return guess == xs
+    y = state
+    x = rng.integers(0, n, cfg.trials, dtype=np.min_scalar_type(n - 1))
+    return (guess if scheme == "withhold" else (x + y - guess) % n) == x
+
+
+def test_sampler_masks_equal_the_allocating_oracle(monkeypatch):
+    # the reused narrow buffers and the one-time-pad identity draw the same
+    # trials as the allocating loop: success masks equal bit for bit, for
+    # parity and global strategies, n = 2, 3, 5 and L up to 70 (n = 5 at
+    # L = 70 sums to 280, past uint8)
+    from pthide import hiding
+
+    masks = []
+    finish = hiding._finish
+
+    def recorded(success_mask, *args):
+        masks.append(np.array(success_mask))
+        return finish(success_mask, *args)
+
+    monkeypatch.setattr(hiding, "_finish", recorded)
+    rng = np.random.default_rng(85)
+    one = BipartiteDims(1, 1)
+
+    def skewed(dims):
+        # weight on the last symbol, so the sums at L = 70 pass 255 for n = 5
+        etas = np.r_[np.ones(n - 1), 10.0 * n] / (11 * n - 1)
+        return StateEnsemble(dims, tuple((eta, random_state(dims, rng)) for eta in etas))
+
+    for n in (2, 3, 5):
+        e, flat = skewed(D22), skewed(one)  # side 1 at every L
+        assert n < 5 or 70 * (np.arange(n) @ e.probabilities) > 260
+        parity = PerCopyParityStrategy(random_povm(rng, D22, 2))
+        for ell in (1, 2, 7, 70):
+            cases = [(e, parity), (flat, GlobalPovmStrategy(random_povm(rng, one, 3), [0, 1, 1]))]
+            if ell < 7:
+                dims = BipartiteDims(2**ell, 2**ell)
+                cases.append((e, GlobalPovmStrategy(random_povm(rng, dims, 3), rng.permutation(3) % n)))
+            elif ell == 7:
+                side = BipartiteDims(1, 2)
+                ens = skewed(side)
+                povm = random_povm(rng, BipartiteDims(1, 2**ell), 4)
+                cases.append((ens, GlobalPovmStrategy(povm, rng.integers(0, n, 4))))
+            for ens, strat in cases:
+                cfg = ProtocolConfig(
+                    ensemble=ens, copies=ell, trials=3000, seed=int(rng.integers(2**63)),
+                    strategy=strat,
+                )
+                runs = (
+                    ("broadcast", None, lambda: simulate_broadcast_scheme(cfg)),
+                    ("withhold", None, lambda: simulate_broadcast_scheme(cfg, True)),
+                    ("direct", None, lambda: simulate_direct_encoding(cfg)),
+                    ("fixed", n - 1, lambda: simulate_direct_encoding(cfg, x=n - 1)),
+                )
+                for scheme, x, run in runs:
+                    masks.clear()
+                    run()
+                    expected = _oracle_success_mask(cfg, scheme, x)
+                    assert masks[0].dtype == bool
+                    assert np.array_equal(masks[0], expected), (n, ell, strat.name, scheme)
