@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 invalid input (bad flags, unreadable or malformed
 files, schema violations), 3 optimizer non-convergence or an indeterminate
-verdict.  Outputs embed a run manifest; set ``SOURCE_DATE_EPOCH`` to pin the
-manifest timestamp when byte-identical reruns are required.
+verdict.  ``certify`` exits 0 whatever its verdict: scripts read its
+``certified`` field.  Outputs embed a run manifest; set
+``SOURCE_DATE_EPOCH`` to pin the manifest timestamp when byte-identical
+reruns are required.
 """
 
 from __future__ import annotations

@@ -149,14 +149,13 @@ def _helstrom(g: np.ndarray):
     v^dagger with f = [w >= 0], and M1 = I - M0, attains the optimum
     Tr G1 + sum_{w >= 0} w (Helstrom, *Quantum Detection and Estimation
     Theory*, 1976); its value is Tr G1 + sum_k f_k (v^dagger D v)_kk.  The
-    dual is Z = G1 + v diag(w f) v^dagger shifted by
-    lam = max(0, max(w - w f) + err): by Weyl's inequality the measured
+    dual is Z = G1 + v diag(w f) v^dagger: by Weyl's inequality the measured
     err = ||D v - v diag(w)||_F >= ||E||_2 covers E in
-    Z - G0 = v diag(w f - w) v^dagger - E, so the gap, about err * D, is
-    certified.  As in :func:`_solve_split` the shift is folded into the
-    returned dual H (and into the residual minima), and a value that
-    rounding puts above Tr H is clamped to it, so the gap is never negative.
-    The history is one row ``(0, value, gap, 0)``.
+    Z - G0 = v diag(w f - w) v^dagger - E, so lambda_min(Z - G_i) is at least
+    min(w f - w) - err and min(w f) >= 0, the shift is
+    lam = max(0, max(w - w f) + err), and the gap, about err * D, is
+    certified.  A value that rounding puts above Tr H is clamped to it, so
+    the gap is never negative.  The history is one row ``(0, value, gap, 0)``.
     """
     d = g.shape[-1]
     diff = g[0] - g[1]
@@ -171,13 +170,12 @@ def _helstrom(g: np.ndarray):
     m0 = _hermitize(cols @ cols.conj().T)
     m = np.stack([m0, np.eye(d, dtype=m0.dtype) - m0])
     wf = w * f
-    lam = max(0.0, float((w - wf).max()) + err)
     h = g[1] + _spectral(v, wf)
-    h.flat[:: d + 1] += lam
+    resid_min = np.array([float((wf - w).min()) - err, float(wf.min())])
+    _shift_feasible(h, resid_min)
     trace = float(np.trace(h).real)
     value = min(float(np.trace(g[1]).real) + float(f @ dvv), trace)
-    resid_min = np.array([float((wf - w).min()) - err, float(wf.min())]) + lam
-    return m, (value, h, resid_min, 0.0), 0, [(0, value, trace - value, 0.0)], "helstrom"
+    return m, h, resid_min, [(0, value, trace - value, 0.0)], "helstrom"
 
 
 @dataclass(frozen=True)
@@ -212,16 +210,16 @@ class OptimalityReport:
     optimum: ``dual_H`` is feasible by construction, so the true optimum lies
     in ``[value, value + gap]`` whether or not the run converged, which is
     ``gap <= gap_tol`` on every path.  ``residual_min_eigs`` bound
-    lambda_min(dual_H - G_i) from below: on the commuting fast path they are
-    Weyl lower bounds on lambda_min(Z - G_i) for the unshifted dual Z, on
-    the two-state path Weyl lower bounds on lambda_min(dual_H - G_i), and on
-    the barrier path the minima of Z - G_i, or of H - G_i when the barrier's
-    own H is the dual.
+    lambda_min(dual_H - G_i) from below and are >= 0 on every path:
+    ``dual_H`` carries its feasibility shift, and its minima are Weyl bounds
+    (the two-state and commuting paths), spectra (the barrier) or exact
+    entries (1x1 blocks), each shifted with it.
 
     ``value_history`` has one row per checked iterate: its iteration, its
     value and certified gap, and a fourth column.  For the barrier
     (``"log-det-barrier"``) that column is the parameter t of the centring
     that produced the iterate, with the iteration counted in Newton steps.
+    The last row holds the report's ``iterations``, ``value`` and ``gap``.
     The two-state closed form (``"helstrom"``) and the commuting fast path
     (``"commuting-eigenbasis"``) report one row ``(0, value, gap, 0)``.
 
@@ -266,17 +264,22 @@ def _repair_povm(m: np.ndarray) -> np.ndarray:
 
 
 def _dual_lift(g: np.ndarray, m: np.ndarray):
-    """Value, dual candidate, residual minima, and the feasibility shift.
-
-    Z is the Hermitized weighted operator sum; shifting by the worst
-    violation ``lam`` makes ``Z + lam * I`` dominate every G_i.
-    """
+    """``(value, Z, minima)``: the value of the blocks m, the Hermitized
+    weighted operator sum Z = sum_i G_i M_i, and lambda_min(Z - G_i) per
+    state, block by block (:func:`_min_eig`).  Z is unshifted; the minima
+    are the optimality residuals of m (:func:`certify_optimal`)."""
     z_raw = (g @ m).sum(axis=0)
     value = float(np.trace(z_raw).real)
     z = _hermitize(z_raw)
-    resid_min = np.linalg.eigvalsh(z[None, :, :] - g)[:, 0].copy()
+    return value, z, _min_eig(z[None, :, :] - g)
+
+
+def _shift_feasible(z: np.ndarray, resid_min: np.ndarray) -> None:
+    """Add lam = max(0, -min(resid_min)) to z's diagonal and to resid_min, in
+    place: if resid_min bound lambda_min(z - G_i), z then dominates every G_i."""
     lam = max(0.0, float(-resid_min.min()))
-    return value, z, resid_min, lam
+    z.flat[:: z.shape[-1] + 1] += lam
+    resid_min += lam
 
 
 def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
@@ -312,8 +315,7 @@ def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
     del gv  # a D x D residual, freed before the blocks
     top = diag.max(axis=0)
     resid_min = (top - diag).min(axis=1) - off
-    lam = max(0.0, float(-resid_min.min()))
-    if lam * d > opts.gap_tol:
+    if -resid_min.min() * d > opts.gap_tol:
         return None
     assign = diag.argmax(axis=0)
     value = float(top.sum())
@@ -324,16 +326,16 @@ def _try_commuting_solve(g: np.ndarray, opts: SolverOptions):
             # cols @ cols^dagger is one rank-k update (half a general product)
             blocks[i] = _hermitize(cols @ cols.conj().T)
     z = _spectral(v, top)
-    history = [(0, value, float(np.trace(z).real) + lam * d - value, 0.0)]
-    return blocks, (value, z, resid_min, lam), 0, history, "commuting-eigenbasis"
+    _shift_feasible(z, resid_min)
+    history = [(0, value, float(np.trace(z).real) - value, 0.0)]
+    return blocks, z, resid_min, history, "commuting-eigenbasis"
 
 
 def _solve_stack(g: np.ndarray, opts: SolverOptions):
     """Solve on the (n, D, D) stack ``g`` of objective operators.  Returns
-    ``(M, lifted, iterations, history, method)``: the POVM blocks, the tuple
-    of :func:`_dual_lift` (value, dual base Z, residual minima, shift; the
-    reported dual is ``Z + shift * I``), and the rows of
-    :attr:`OptimalityReport.value_history`.
+    ``(M, H, residual_minima, history, method)``: the POVM blocks, the dual
+    H with its feasibility shift on the diagonal, lower bounds on
+    lambda_min(H - G_i), and :attr:`OptimalityReport.value_history`'s rows.
 
     A stack whose nonzero pattern has more than one component
     (:func:`_components`) is solved block by block (:func:`_solve_split`);
@@ -366,9 +368,9 @@ def _solve_split(g: np.ndarray, groups: list[np.ndarray], opts: SolverOptions):
     share of ``gap_tol`` proportional to its side, so the block gaps, which
     add up, stay within ``gap_tol``; sub-stacks that are equal entry for
     entry are solved once, and ``iterations`` sums over the solves run.  M
-    and H are zero off the blocks and each block's shift is folded into H,
-    so the lifted tuple's shift is 0 and its residual minima, per state the
-    least over the blocks, bound those of H - G_i.  The value is the sum of
+    and H are zero off the blocks, H holds the block duals as returned,
+    shift included, and the residual minima, per state the least over the
+    blocks, bound those of H - G_i.  The value is the sum of
     the block values, or Tr H where rounding in the two sums' orders puts
     that below it.  ``method`` is the non-singleton blocks' method, or their
     distinct methods joined by ``+`` (``"commuting-eigenbasis"`` when every
@@ -395,20 +397,18 @@ def _solve_split(g: np.ndarray, groups: list[np.ndarray], opts: SolverOptions):
         for c, sub in zip(idx, np.ascontiguousarray(_block(g, idx).swapaxes(0, 1))):
             key = sub.tobytes()
             if key not in solved:
-                mb, (value, z, resid, lam), its, _, method = _solve_block(sub, budget)
-                solved[key] = mb, z + lam * np.eye(s, dtype=z.dtype), resid + lam, value
-                iterations += its
-                methods.add(method)
-            mb, hb, resid, value = solved[key]
+                solved[key] = _solve_block(sub, budget)
+                iterations += solved[key][3][-1][0]
+            mb, hb, resid, history, method = solved[key]
             m[:, c[:, None], c] = mb
             h[c[:, None], c] = hb
             resid_min = np.minimum(resid_min, resid)
-            values.append(value)
+            values.append(history[-1][1])
+            methods.add(method)
     trace = float(np.trace(h).real)
     value = min(math.fsum(values), trace)
-    gap = trace - value
     method = "+".join(sorted(methods)) or "commuting-eigenbasis"
-    return m, (value, h, resid_min, 0.0), iterations, [(iterations, value, gap, 0.0)], method
+    return m, h, resid_min, [(iterations, value, trace - value, 0.0)], method
 
 
 def solve_optimal_value(
@@ -446,12 +446,8 @@ def solve_optimal_value(
     """
     opts = opts or SolverOptions()
     # the stack is freed before the report's operators are built and checked
-    m, lifted, iterations, history, method = _solve_stack(
-        _objective_operators(ensemble, use_pt), opts
-    )
-    value, z, resid_min, lam = lifted
-    h = z + lam * np.eye(z.shape[-1], dtype=z.dtype)
-    gap = float(np.trace(h).real) - value
+    m, h, resid_min, history, method = _solve_stack(_objective_operators(ensemble, use_pt), opts)
+    iterations, value, gap, _ = history[-1]
     dims = ensemble.dims
     return OptimalityReport(
         value=value,
@@ -475,12 +471,12 @@ def _barrier(g: np.ndarray, opts: SolverOptions):
     centring ends once ``||sum_i M_i - I||_F^2 <= n D / t``, or when the
     Newton decrement stops falling in the full-step phase (rounding).  Then
     :func:`_repair_povm` makes the M_i a POVM and the dual is its
-    :func:`_dual_lift` or H itself (factored by Cholesky), whichever has the
-    smaller trace: near the optimum H's gap stays at about n D / t while the
-    lift's is held up by the centring residual (1.4e-10 against 1.5e-7 on
-    one n = 4 instance at t = 1.8e11).  When H is the dual, its residual
-    minima are those of H - G_i, from one stacked ``eigvalsh`` once the run
-    ends.  ``iterations`` counts Newton steps.
+    :func:`_dual_lift`, shifted by :func:`_shift_feasible`, or H itself
+    (factored by Cholesky), whichever has the smaller trace, H on a tie:
+    near the optimum H's gap stays at about n D / t while the lift's is held
+    up by the centring residual (1.4e-10 against 1.5e-7 on one n = 4
+    instance at t = 1.8e11).  When H is the dual, its residual minima are
+    those of H - G_i (:func:`_min_eig`), taken once the run ends.
     The run stops at ``gap_tol`` or ``max_iters``, or unconverged at the
     line search's step floor, a singular POVM sum or a gap no lower than
     the last, returning the last bracket that improved.  History rows are
@@ -498,14 +494,15 @@ def _barrier(g: np.ndarray, opts: SolverOptions):
             m = _repair_povm(y / t)
         except np.linalg.LinAlgError:
             break
-        value, z, resid_min, lam = _dual_lift(g, m)
-        if float(np.trace(h).real) - value < lam * d:
-            z, resid_min, lam = h, None, 0.0  # H's own minima, taken once at the end
-        gap = float(np.trace(z + lam * eye).real) - value
+        value, z, resid_min = _dual_lift(g, m)
+        _shift_feasible(z, resid_min)
+        if np.trace(h).real <= np.trace(z).real:
+            z, resid_min = h, None  # H's own minima, taken once at the end
+        gap = float(np.trace(z).real) - value
         if history and gap >= history[-1][2]:
             break
         history.append((iterations, value, gap, t))
-        best = m, (value, z, resid_min, lam)
+        best = m, z, resid_min
         if gap <= opts.gap_tol or iterations >= opts.max_iters or stalled:
             break
         t *= _T_FACTOR
@@ -527,10 +524,10 @@ def _barrier(g: np.ndarray, opts: SolverOptions):
                 break
             h, chol, logdet = found
             y = _cholesky_inverse(chol)
-    m, (value, z, resid_min, lam) = best
+    m, z, resid_min = best
     if resid_min is None:
-        resid_min = np.linalg.eigvalsh(z - g)[:, 0]
-    return m, (value, z, resid_min, lam), history[-1][0], history, "log-det-barrier"
+        resid_min = _min_eig(z - g)
+    return m, z, resid_min, history, "log-det-barrier"
 
 
 def _line_search(g, h, delta, t, logdet, slope):
@@ -625,9 +622,11 @@ def certify_optimal(
         raise ValueError(
             f"POVM has {povm.n_outcomes} outcomes but the ensemble has {ensemble.n} states"
         )
+    if povm.dims != ensemble.dims:
+        raise ValueError("POVM and ensemble dimensions differ")
     g = _objective_operators(ensemble, use_pt)
     m = np.stack([el.entries for el in povm.elements])
-    _, z, resid_min, _ = _dual_lift(g, m)
+    resid_min = _dual_lift(g, m)[2]
     return CertificationResult(resid_min, bool(resid_min.min() >= -tol), tol)
 
 

@@ -145,10 +145,6 @@ def identity(dims: BipartiteDims) -> HermitianOperator:
     return HermitianOperator(dims, np.eye(dims.total))
 
 
-def zero(dims: BipartiteDims) -> HermitianOperator:
-    return HermitianOperator(dims, np.zeros((dims.total, dims.total)))
-
-
 def partial_transpose(a: HermitianOperator) -> HermitianOperator:
     """Transpose Bob's tensor factor in the fixed product basis.
 

@@ -8,12 +8,14 @@ from pthide import cli
 from pthide.cli import main
 from pthide.constructions import bell_state, example1
 from pthide.ensembles import coarse_grain
-from pthide.discrimination import helstrom_measurement
+from pthide.discrimination import Povm, helstrom_measurement
 from pthide.serialize import ensemble_to_dict, povm_to_dict
 
-from pthide.operators import BipartiteDims
+from pthide.operators import BipartiteDims, HermitianOperator
 
 from conftest import random_ensemble, random_two_state_ensemble
+
+D22 = BipartiteDims(2, 2)
 
 
 def run(capsys, *argv):
@@ -171,6 +173,38 @@ def test_certify_subcommand(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["certified"]
     assert min(payload["residual_min_eigs"]) >= -1e-8
+
+
+def test_certify_exits_0_with_a_false_verdict(tmp_path, capsys):
+    # the verdict is in the output, not in the exit code: the identity on
+    # outcome 0 is a valid POVM, optimal for the PT objective (G0^PT - G1^PT
+    # is PSD) but not for the plain one
+    povm = Povm(D22, (HermitianOperator(D22, np.eye(4)), HermitianOperator(D22, np.zeros((4, 4)))))
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(povm_to_dict(povm)))
+    argv = ["certify", "--ensemble", "bell-example1", "--povm", str(path), "--no-pt"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["certified"] is False
+    assert min(payload["residual_min_eigs"]) < -1e-8
+
+
+@pytest.mark.parametrize("dims", [(4, 1), (1, 2)])
+def test_certify_povm_on_other_dims_exits_2(tmp_path, capsys, dims):
+    # the Helstrom POVM declared on 4x1 (the same side 4) and a POVM on 1x2
+    if dims == (4, 1):
+        elements = helstrom_measurement(example1(bell_state()), use_pt=True).elements
+        elements = [el.entries for el in elements]
+    else:
+        elements = [np.eye(2), np.zeros((2, 2))]
+    other = BipartiteDims(*dims)
+    povm = Povm(other, tuple(HermitianOperator(other, el) for el in elements))
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(povm_to_dict(povm)))
+    code, out, err = run(capsys, "certify", "--ensemble", "bell-example1", "--povm", str(path))
+    assert code == 2
+    assert out == "" and "error: POVM and ensemble dimensions differ" in err
 
 
 def test_example1_subcommand(capsys):

@@ -29,7 +29,7 @@ from pthide import discrimination
 from pthide.constructions import bell_state, example1, example2
 from pthide.discrimination import _barrier, _dual_lift, _helstrom, _objective_operators
 from pthide.discrimination import _repair_povm, _solve_stack
-from pthide.operators import _eig_apply
+from pthide.operators import _eig_apply, _spectral
 
 from conftest import permuted_block_ensemble, permuted_block_stack, random_ensemble
 from conftest import random_hermitian, random_povm, random_state, random_two_state_ensemble
@@ -154,7 +154,8 @@ def test_fast_path_agrees_with_generic_on_commuting_input():
     fast = solve_optimal_value(res.ensemble, use_pt=True)
     g = _objective_operators(res.ensemble, use_pt=True)
     start = time.monotonic()
-    _, (slow_value, *_), _, history, slow_method = _barrier(g, SolverOptions(gap_tol=1e-8))
+    _, _, _, history, slow_method = _barrier(g, SolverOptions(gap_tol=1e-8))
+    slow_value = history[-1][1]
     # about 0.2 s; a dense Hessian (6561 x 6561 here) did not finish
     assert time.monotonic() - start < 10.0
     assert fast.method == "commuting-eigenbasis"
@@ -191,12 +192,12 @@ def test_fast_path_dual_is_feasible_on_near_commuting_stacks(eps):
         g = _near_commuting_stack(rng, eps)
         out = discrimination._try_commuting_solve(g, SolverOptions(gap_tol=1.0))
         assert out is not None
-        _, (value, z, resid_min, lam), _, history, method = out
+        _, h, resid_min, history, method = out
         assert method == "commuting-eigenbasis"
-        mins = np.linalg.eigvalsh(z + lam * np.eye(16) - g)[:, 0]
+        mins = np.linalg.eigvalsh(h - g)[:, 0]
         assert mins.min() >= 0.0
-        # the reported residual minima are lower bounds on the unshifted spectra
-        assert np.all(resid_min <= np.linalg.eigvalsh(z - g)[:, 0] + 1e-15)
+        # the reported residual minima are lower bounds on the returned dual's spectra
+        assert np.all(resid_min <= mins + 1e-15)
         assert history[0][2] >= 0.0
 
 
@@ -243,13 +244,12 @@ def test_solve_stack_is_solve_optimal_value_on_the_raw_stack():
     for e, method in _path_cases():
         for use_pt in (True, False):
             rep = solve_optimal_value(e, use_pt=use_pt, opts=opts)
-            m, lifted, iterations, history, got = _solve_stack(
-                _objective_operators(e, use_pt), opts
-            )
-            value, z, _, lam = lifted
-            gap = float(np.trace(z + lam * np.eye(e.dims.total)).real) - value
+            m, h, resid_min, history, got = _solve_stack(_objective_operators(e, use_pt), opts)
+            iterations, value, gap, _ = history[-1]
             assert rep.method == got == method
             assert (value, gap, iterations) == (rep.value, rep.gap, rep.iterations)
+            assert np.array_equal(h, rep.dual_h.entries)
+            assert np.array_equal(resid_min, rep.residual_min_eigs)
             assert np.array_equal(np.array(history), rep.value_history)
             assert np.array_equal(m, [el.entries for el in rep.povm.elements])
 
@@ -364,7 +364,12 @@ def _clip_ascent_oracle(g, opts):
     g_norm = max(float(np.linalg.norm(g)), 1e-300)
     step = 2.0 / g_norm
     m = np.stack([eye / 2, eye / 2])
-    value, z, _, lam = _dual_lift(g, m)
+
+    def lift(m):
+        value, z, mins = _dual_lift(g, m)
+        return value, z, max(0.0, float(-mins.min()))
+
+    value, z, lam = lift(m)
     iterations = 0
     while lam * d > opts.gap_tol and iterations < opts.max_iters:
         x = m + step * g
@@ -372,7 +377,7 @@ def _clip_ascent_oracle(g, opts):
         m0 = _eig_apply((x[0] + eye - x[1]) / 2, lambda w: np.clip(w, 0.0, 1.0))
         m = np.stack([m0, eye - m0])
         iterations += 1
-        value, z, _, lam = _dual_lift(g, m)
+        value, z, lam = lift(m)
         if step * g_norm < 1.0 / np.finfo(float).eps:
             step *= 2
     gap = float(np.trace(z).real) + lam * d - value
@@ -435,8 +440,11 @@ def test_two_state_gap_is_zero_where_the_eigenbasis_is_exact():
         g = np.stack([np.diag(rng.choice([0.0, 0.25, 0.5], 6)) for _ in range(2)])
         w, v = np.linalg.eigh(g[0] - g[1])
         assert np.linalg.norm((g[0] - g[1]) @ v - v * w) == 0.0
-        m, (value, h, _, lam), iterations, history, method = _helstrom(g)
-        assert (method, iterations, lam) == ("helstrom", 0, 0.0)
+        m, h, _, history, method = _helstrom(g)
+        value = history[0][1]
+        assert method == "helstrom"
+        # the dual is unshifted, and the one history row has 0 iterations
+        assert np.array_equal(h, g[1] + _spectral(v, w * (w >= 0.0)))
         assert history == [(0, value, 0.0, 0.0)] and float(np.trace(h)) == value
         assert value == np.maximum(g[0], g[1]).trace()
         # the projector puts every index on a state with the larger entry
@@ -591,11 +599,12 @@ def test_barrier_bracket_holds_commuting_values():
                     ),
                 )
                 g = _objective_operators(e, use_pt=True)
-                _, (exact, *_), _, _, method = _solve_stack(g, opts)
+                _, _, _, history, method = _solve_stack(g, opts)
                 assert method == "commuting-eigenbasis"
-                _, (value, *_), _, history, method = _barrier(g, opts)
+                exact = history[-1][1]
+                _, _, _, history, method = _barrier(g, opts)
                 assert method == "log-det-barrier"
-                gap = history[-1][2]
+                _, value, gap, _ = history[-1]
                 assert 0.0 <= gap <= opts.gap_tol
                 assert value <= exact <= value + gap + 1e-12
 
@@ -872,8 +881,8 @@ def _oracle_brackets(g, opts, iterative=True):
         runs.append(_barrier(g, opts))
     out = []
     for run in filter(None, runs):
-        _, (value, z, _, lam), _, _, method = run
-        out.append((method, value, float(np.trace(z).real) + lam * g.shape[-1] - value))
+        _, _, _, history, method = run
+        out.append((method, *history[-1][1:3]))
     return out
 
 
@@ -948,12 +957,11 @@ def test_split_reports_of_diagonal_stacks_are_exact():
     # every block 1x1: M_i[k, k] = [i is the first argmax], gap 0
     rng = np.random.default_rng(53)
     g = np.stack([np.diag(rng.choice([0.0, 0.25, 0.5], 6)) for _ in range(3)])
-    m, (value, h, resid_min, lam), iterations, history, method = _solve_stack(
-        g, SolverOptions(gap_tol=0.0)
-    )
+    m, h, resid_min, history, method = _solve_stack(g, SolverOptions(gap_tol=0.0))
+    value = history[0][1]
     top = g.diagonal(axis1=1, axis2=2)
     first = top.argmax(axis=0)
-    assert method == "commuting-eigenbasis" and iterations == 0 and lam == 0.0
+    assert method == "commuting-eigenbasis"
     assert np.array_equal(m.diagonal(axis1=1, axis2=2), np.eye(3)[first].T)
     assert np.array_equal(h, np.diag(top.max(axis=0)))
     assert value == top.max(axis=0).sum() and history == [(0, value, 0.0, 0.0)]
@@ -994,6 +1002,7 @@ def test_residual_minima_bound_the_dual_spectrum_on_every_path():
         assert rep.method == method
         mins = np.linalg.eigvalsh(rep.dual_h.entries - _objective_operators(e, use_pt))[:, 0]
         assert np.all(rep.residual_min_eigs <= mins + 1e-12)
+        assert rep.residual_min_eigs.min() >= 0.0
 
 
 def test_barrier_residual_minima_belong_to_the_reported_dual():
@@ -1003,9 +1012,9 @@ def test_barrier_residual_minima_belong_to_the_reported_dual():
     for seed in range(20):
         e = random_ensemble(np.random.default_rng([11, seed]), 3, BipartiteDims(2, 3))
         g = _objective_operators(e, use_pt=True)
-        _, (_, z, resid_min, lam), _, _, _ = _barrier(g, opts)
-        mins = np.linalg.eigvalsh(z + lam * np.eye(6) - g)[:, 0]
-        assert np.abs(resid_min + lam - mins).max() <= 1e-12
+        _, h, resid_min, _, _ = _barrier(g, opts)
+        mins = np.linalg.eigvalsh(h - g)[:, 0]
+        assert np.abs(resid_min - mins).max() <= 1e-12
 
 
 def test_split_werner_solve_and_checks_stay_at_block_side(monkeypatch):
