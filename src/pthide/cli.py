@@ -67,17 +67,11 @@ def _timestamp() -> str:
 
 
 def _manifest(args, **extra) -> dict:
-    config = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in ("func",) and not callable(v)
-    }
-    config.update(extra)
     return {
         "tool": "pthide",
         "version": __version__,
         "subcommand": args.subcommand,
-        "config": config,
+        "config": {k: v for k, v in {**vars(args), **extra}.items() if k != "func"},
         "seed": getattr(args, "seed", None),
         "timestamp": _timestamp(),
     }
@@ -93,10 +87,8 @@ def _emit_json(payload: dict, out: str | None):
 
 
 def _emit_csv(manifest: dict, header: list[str], rows: list[list], out: str | None):
-    for row in rows:
-        for v in row:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError("refusing to emit a non-finite CSV value")
+    if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+        raise ValueError("refusing to emit a non-finite CSV value")
     lines = ["# manifest: " + json.dumps(manifest, sort_keys=True)]
     lines.append(",".join(header))
     for row in rows:
@@ -121,8 +113,7 @@ def _resolve_ensemble(source: str, cap: int):
             m, n, d = (int(tok) for tok in source.split(":", 1)[1].split(","))
         except Exception as exc:
             raise ValueError(f"expected example2:m,n,d, got {source!r}") from exc
-        result = example2(d=d, m=m, n=n, explicit=True, cap=cap)
-        return result.ensemble
+        return example2(d=d, m=m, n=n, explicit=True, cap=cap).ensemble
     if os.path.exists(source):
         return load_ensemble(source)
     raise ValueError(f"ensemble {source!r} is neither a readable file nor a known builtin")
@@ -240,11 +231,7 @@ def cmd_example1(args) -> int:
 
 
 def cmd_example2(args) -> int:
-    explicit = None
-    if args.explicit:
-        explicit = True
-    elif args.formulas_only:
-        explicit = False
+    explicit = True if args.explicit else (False if args.formulas_only else None)
     result = example2(d=args.d, m=args.m, n=args.n, explicit=explicit, cap=args.cap)
     payload = {
         "manifest": _manifest(args),
@@ -280,8 +267,7 @@ def _build_strategy(args, ensemble, copies):
     raise ValueError(f"unknown strategy {args.strategy!r}")
 
 
-def _run_sim(args, ensemble, copies):
-    strategy = _build_strategy(args, ensemble, copies)
+def _run_sim(args, ensemble, copies, strategy):
     cfg = ProtocolConfig(
         ensemble=ensemble, copies=copies, trials=args.trials, seed=args.seed, strategy=strategy
     )
@@ -292,109 +278,122 @@ def _run_sim(args, ensemble, copies):
 
 def cmd_hide_sim(args) -> int:
     ensemble = _resolve_ensemble(args.ensemble, args.cap)
+    levels = range(1, args.lmax + 1) if args.csv else [args.L]
+    strategy, results = None, []
+    for copies in levels:
+        # only global-orthogonal depends on L; the others are built once per sweep
+        if strategy is None or args.strategy == "global-orthogonal":
+            strategy = _build_strategy(args, ensemble, copies)
+        results.append(_run_sim(args, ensemble, copies, strategy))
     if args.csv:
-        rows = []
-        for copies in range(1, args.lmax + 1):
-            res = _run_sim(args, ensemble, copies)
-            rows.append([copies, res.empirical_success, res.stderr, res.analytic_reference])
+        rows = [[c, r.empirical_success, r.stderr, r.analytic_reference]
+                for c, r in zip(levels, results)]
         _emit_csv(_manifest(args), ["L", "empirical", "stderr", "reference"], rows, args.out)
         return EXIT_OK
-    res = _run_sim(args, ensemble, args.L)
-    _emit_json({"manifest": _manifest(args), **dataclasses.asdict(res)}, args.out)
+    _emit_json({"manifest": _manifest(args), **dataclasses.asdict(results[0])}, args.out)
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: the subcommands, in the order ``pthide -h`` lists them
+_SUBCOMMANDS = ("qg", "certify", "validate", "bounds", "fig3", "example1", "example2", "hide-sim")
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The ``pthide`` parser; for an ``argv`` that starts with a subcommand, only
+    that subcommand's parser is built (the usage line still lists them all)."""
     parser = argparse.ArgumentParser(
         prog="pthide",
         description="Distinguishability bounds and data-hiding analysis "
         "for bipartite state ensembles",
     )
     parser.add_argument("--version", action="version", version=f"pthide {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    only = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    sub = parser.add_subparsers(dest="subcommand", required=True,
+                                metavar=only and "{" + ",".join(_SUBCOMMANDS) + "}")
+
+    def add(name, text):
+        return sub.add_parser(name, help=text) if only in (None, name) else None
 
     def common(p):
         p.add_argument("--out", default=None, help="write output here instead of stdout")
         p.add_argument("--cap", type=int, default=DEFAULT_DIM_CAP, help="dimension cap")
 
-    p = sub.add_parser("qg", help="optimize the (PT) guessing objective of an ensemble")
-    p.add_argument("--ensemble", required=True, help="JSON file or builtin name")
-    p.add_argument("--no-pt", action="store_true", help="optimize the plain objective")
-    p.add_argument("--gap-tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=100_000)
-    common(p)
-    p.set_defaults(func=cmd_qg)
+    if p := add("qg", "optimize the (PT) guessing objective of an ensemble"):
+        p.add_argument("--ensemble", required=True, help="JSON file or builtin name")
+        p.add_argument("--no-pt", action="store_true", help="optimize the plain objective")
+        p.add_argument("--gap-tol", type=float, default=1e-6)
+        p.add_argument("--max-iters", type=int, default=100_000)
+        common(p)
+        p.set_defaults(func=cmd_qg)
 
-    p = sub.add_parser("certify", help="check a measurement's optimality certificate")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--povm", required=True, help="POVM JSON file")
-    p.add_argument("--no-pt", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
-    common(p)
-    p.set_defaults(func=cmd_certify)
+    if p := add("certify", "check a measurement's optimality certificate"):
+        p.add_argument("--ensemble", required=True)
+        p.add_argument("--povm", required=True, help="POVM JSON file")
+        p.add_argument("--no-pt", action="store_true")
+        p.add_argument("--tol", type=float, default=1e-8)
+        common(p)
+        p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("validate", help="validate an ensemble's invariants")
-    p.add_argument("--ensemble", required=True)
-    common(p)
-    p.set_defaults(func=cmd_validate)
+    if p := add("validate", "validate an ensemble's invariants"):
+        p.add_argument("--ensemble", required=True)
+        common(p)
+        p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("bounds", help="per-copy decay bounds for an ensemble")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--which", choices=("coarse", "uniform"), default="coarse")
-    p.add_argument("--gap-tol", type=float, default=1e-6)
-    p.add_argument("--max-iters", type=int, default=100_000)
-    common(p)
-    p.set_defaults(func=cmd_bounds)
+    if p := add("bounds", "per-copy decay bounds for an ensemble"):
+        p.add_argument("--ensemble", required=True)
+        p.add_argument("--lmax", type=int, required=True)
+        p.add_argument("--which", choices=("coarse", "uniform"), default="coarse")
+        p.add_argument("--gap-tol", type=float, default=1e-6)
+        p.add_argument("--max-iters", type=int, default=100_000)
+        common(p)
+        p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("fig3", help="decay curve for a Werner-family parameter triple")
-    p.add_argument("--params", required=True, help="m,n,d")
-    p.add_argument("--lmax", type=int, required=True)
-    p.add_argument("--which", choices=("coarse", "uniform"), default="coarse")
-    p.add_argument("--out", default=None, help="write output here instead of stdout")
-    p.set_defaults(func=cmd_fig3)
+    if p := add("fig3", "decay curve for a Werner-family parameter triple"):
+        p.add_argument("--params", required=True, help="m,n,d")
+        p.add_argument("--lmax", type=int, required=True)
+        p.add_argument("--which", choices=("coarse", "uniform"), default="coarse")
+        p.add_argument("--out", default=None, help="write output here instead of stdout")
+        p.set_defaults(func=cmd_fig3)
 
-    p = sub.add_parser("example1", help="two-state hiding ensemble from an NPT state")
-    p.add_argument("--sigma", required=True, help="JSON file, 'bell', or random-npt:dAxdB:seed")
-    common(p)
-    p.set_defaults(func=cmd_example1)
+    if p := add("example1", "two-state hiding ensemble from an NPT state"):
+        p.add_argument("--sigma", required=True,
+                       help="JSON file, 'bell', or random-npt:dAxdB:seed")
+        common(p)
+        p.set_defaults(func=cmd_example1)
 
-    p = sub.add_parser("example2", help="Werner-family ensemble and reference values")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--explicit", action="store_true", help="insist on explicit matrices")
-    mode.add_argument("--formulas-only", action="store_true", help="never build matrices")
-    common(p)
-    p.set_defaults(func=cmd_example2)
+    if p := add("example2", "Werner-family ensemble and reference values"):
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        mode = p.add_mutually_exclusive_group()
+        mode.add_argument("--explicit", action="store_true", help="insist on explicit matrices")
+        mode.add_argument("--formulas-only", action="store_true", help="never build matrices")
+        common(p)
+        p.set_defaults(func=cmd_example2)
 
-    p = sub.add_parser("hide-sim", help="Monte Carlo simulation of the hiding protocol")
-    p.add_argument("--ensemble", required=True)
-    p.add_argument("--L", type=int, default=1, help="number of copies")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument(
-        "--strategy",
-        choices=("parity-product", "global-orthogonal", "povm-file"),
-        default="parity-product",
-    )
-    p.add_argument("--povm", default=None, help="POVM JSON for povm-file / parity base")
-    scheme = p.add_mutually_exclusive_group()
-    scheme.add_argument("--direct-encoding", action="store_true")
-    scheme.add_argument("--withhold-broadcast", action="store_true")
-    p.add_argument("--csv", action="store_true", help="sweep L = 1..lmax, emit CSV")
-    p.add_argument("--lmax", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    common(p)
-    p.set_defaults(func=cmd_hide_sim)
+    if p := add("hide-sim", "Monte Carlo simulation of the hiding protocol"):
+        p.add_argument("--ensemble", required=True)
+        p.add_argument("--L", type=int, default=1, help="number of copies")
+        p.add_argument("--trials", type=int, default=100_000)
+        p.add_argument("--strategy", default="parity-product",
+                       choices=("parity-product", "global-orthogonal", "povm-file"))
+        p.add_argument("--povm", default=None, help="POVM JSON for povm-file / parity base")
+        scheme = p.add_mutually_exclusive_group()
+        scheme.add_argument("--direct-encoding", action="store_true")
+        scheme.add_argument("--withhold-broadcast", action="store_true")
+        p.add_argument("--csv", action="store_true", help="sweep L = 1..lmax, emit CSV")
+        p.add_argument("--lmax", type=int, default=5)
+        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+        common(p)
+        p.set_defaults(func=cmd_hide_sim)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -84,16 +84,21 @@ def _objective_operators(ensemble: StateEnsemble, use_pt: bool) -> np.ndarray:
     return _pt(g, ensemble.dims) if use_pt else g
 
 
-def success_probability(ensemble: StateEnsemble, povm: Povm, use_pt: bool = False) -> float:
-    """Average probability sum_i eta_i Tr(rho_i M_i), optionally with rho_i^PT.
-    Only tests call it: the reference that ``test_discrimination.py`` and
-    ``test_hiding.py`` check solver values and level POVMs against."""
+def _check_fits(ensemble: StateEnsemble, povm: Povm) -> None:
+    """Refuse a POVM whose outcome count or dims differ from the ensemble's."""
     if povm.n_outcomes != ensemble.n:
         raise ValueError(
             f"POVM has {povm.n_outcomes} outcomes but the ensemble has {ensemble.n} states"
         )
     if povm.dims != ensemble.dims:
         raise ValueError("POVM and ensemble dimensions differ")
+
+
+def success_probability(ensemble: StateEnsemble, povm: Povm, use_pt: bool = False) -> float:
+    """Average probability sum_i eta_i Tr(rho_i M_i), optionally with rho_i^PT.
+    Only tests call it: the reference that ``test_discrimination.py`` and
+    ``test_hiding.py`` check solver values and level POVMs against."""
+    _check_fits(ensemble, povm)
     g = _objective_operators(ensemble, use_pt)
     total = sum(complex(np.einsum("ij,ji->", gi, m.entries)) for gi, m in zip(g, povm.elements))
     if abs(total.imag) > 1e-10 * (1.0 + abs(total.real)):
@@ -618,12 +623,7 @@ def certify_optimal(
     eigenvalue of each (Hermitized) residual and certifies when all of them
     are >= -tol.
     """
-    if povm.n_outcomes != ensemble.n:
-        raise ValueError(
-            f"POVM has {povm.n_outcomes} outcomes but the ensemble has {ensemble.n} states"
-        )
-    if povm.dims != ensemble.dims:
-        raise ValueError("POVM and ensemble dimensions differ")
+    _check_fits(ensemble, povm)
     g = _objective_operators(ensemble, use_pt)
     m = np.stack([el.entries for el in povm.elements])
     resid_min = _dual_lift(g, m)[2]

@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 
@@ -366,6 +367,31 @@ def test_hide_sim_builds_the_bin_table_once(capsys, monkeypatch):
         assert abs(json.loads(out)["analytic_reference"] - 1.0) <= 1e-12
 
 
+def test_hide_sim_csv_builds_a_fixed_strategy_once_per_sweep(capsys, monkeypatch):
+    # the parity strategy's Helstrom base does not depend on L; the
+    # global-orthogonal measurement does and is built at every L
+    built = []
+    helstrom, orthogonal = cli.helstrom_measurement, cli.orthogonal_support_strategy
+
+    def counted_helstrom(*args, **kwargs):
+        built.append("helstrom")
+        return helstrom(*args, **kwargs)
+
+    def counted_orthogonal(ensemble, copies, **kwargs):
+        built.append(copies)
+        return orthogonal(ensemble, copies, **kwargs)
+
+    monkeypatch.setattr(cli, "helstrom_measurement", counted_helstrom)
+    monkeypatch.setattr(cli, "orthogonal_support_strategy", counted_orthogonal)
+    sweep = ["hide-sim", "--ensemble", "bell-example1", "--csv", "--lmax", "3",
+             "--trials", "2000"]
+    assert run(capsys, *sweep)[0] == 0
+    assert built == ["helstrom"]
+    built.clear()
+    assert run(capsys, *sweep, "--strategy", "global-orthogonal")[0] == 0
+    assert built == [1, 2, 3]
+
+
 def test_hide_sim_reference_at_many_copies(capsys):
     code, out, _ = run(
         capsys, "hide-sim", "--ensemble", "bell-example1", "--L", "12", "--trials", "1000"
@@ -425,3 +451,47 @@ def test_csv_values_all_finite(capsys):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["qg", "--ensemble", "bell-example1", "--no-pt"],
+    ["hide-sim", "--ensemble", "e", "--csv", "--direct-encoding"],
+    ["qg", "-h"],
+    ["hide-sim", "--help"],
+    ["qg", "--ensemble", "e", "--bogus"],
+    ["qg", "--ensemble", "e", "extra"],
+    ["certify", "--ensemble", "e"],
+    ["fig3", "--params", "1,2,3", "--lmax", "x"],
+    ["hide-sim", "--ensemble", "e", "--direct-encoding", "--withhold-broadcast"],
+    ["example2", "--m", "1", "--n", "2", "--d", "3", "--explicit", "--formulas-only"],
+    [],
+    ["-h"],
+    ["nope"],
+])
+def test_a_parser_built_for_its_argv_parses_it_as_the_full_parser(capsys, argv):
+    # same namespace, or same exit code and messages (the top-level usage
+    # line of an unrecognized argument included)
+    def parse(parser):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    assert parse(cli.build_parser(argv)) == parse(cli.build_parser())
+
+
+def test_only_the_named_subcommand_gets_a_parser(monkeypatch):
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli.build_parser(["hide-sim", "--ensemble", "bell-example1"])
+    assert made == ["pthide", "pthide hide-sim"]
+    made.clear()
+    cli.build_parser(["--version"])
+    assert len(made) == 1 + len(cli._SUBCOMMANDS)

@@ -763,6 +763,21 @@ def test_certify_outcome_count_mismatch():
         certify_optimal(e, guess_first_povm(D22, 3))
 
 
+@pytest.mark.parametrize(
+    "misfit,message",
+    [(guess_first_povm(D22, 3), "POVM has 3 outcomes but the ensemble has 2 states"),
+     (guess_first_povm(BipartiteDims(4, 1), 2), "POVM and ensemble dimensions differ")],
+    ids=["outcomes", "dims"],
+)
+def test_success_probability_and_certify_refuse_a_misfit_alike(misfit, message):
+    # one check serves both: the same ValueError for the same POVM
+    e = example1(bell_state())
+    for fn in (success_probability, certify_optimal):
+        with pytest.raises(ValueError) as info:
+            fn(e, misfit)
+        assert str(info.value) == message
+
+
 def test_dual_bound_positive_parts_feasible():
     rng = np.random.default_rng(14)
     for n in (2, 3):
