@@ -19,7 +19,6 @@ from .ensembles import (
     StateEnsemble,
     ValidationReport,
     coarse_grain,
-    fold,
     is_mutually_orthogonal,
     validate,
 )
@@ -35,7 +34,6 @@ from .discrimination import (
     helstrom_two_state,
     qg_two_state,
     solve_optimal_value,
-    success_probability,
     validate_povm,
 )
 from .multifold import (

@@ -277,6 +277,8 @@ def _run_sim(args, ensemble, copies, strategy):
 
 
 def cmd_hide_sim(args) -> int:
+    if args.csv and args.lmax < 1:
+        raise ValueError("max_copies must be >= 1")  # as bounds and fig3 refuse it
     ensemble = _resolve_ensemble(args.ensemble, args.cap)
     levels = range(1, args.lmax + 1) if args.csv else [args.L]
     strategy, results = None, []

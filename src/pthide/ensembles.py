@@ -1,4 +1,4 @@
-"""State ensembles, their multifold products, and modulo-sum coarse graining."""
+"""State ensembles, their validation, and modulo-sum coarse graining."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from .operators import (
     _blocks,
     _kron,
     is_psd,
-    tensor,
 )
 
 PROB_SUM_TOL = 1e-12
@@ -93,24 +92,6 @@ def validate(ensemble: StateEnsemble) -> ValidationReport:
             ok, lmin = is_psd(rho, STATE_PSD_TOL)
             checks.append(CheckResult(f"state_{i}_psd", lmin, ok))
     return ValidationReport(tuple(checks))
-
-
-def fold(ensemble: StateEnsemble, copies: int, cap: int | None = None) -> StateEnsemble:
-    """The ensemble of L independent preparations.
-
-    Items are ordered lexicographically in the index vector, with the first
-    copy's index most significant; probabilities multiply and states tensor.
-    Only ``test_ensembles.py`` calls it, as the index-vector reference.
-    """
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    if copies == 1:
-        return ensemble
-    dims = _folded_dims(ensemble.dims, copies, cap)
-    items = ensemble.items
-    for _ in range(copies - 1):
-        items = [(a * b, tensor(x, y, cap=cap)) for a, x in items for b, y in ensemble.items]
-    return StateEnsemble(dims, tuple(items))
 
 
 def coarse_grain(ensemble: StateEnsemble, copies: int, cap: int | None = None) -> StateEnsemble:

@@ -87,21 +87,6 @@ class PerCopyParityStrategy:
             [m.entries for m in self.measurement.elements],
         )
 
-    def level_povm(self, copies: int, cap: int | None = None) -> Povm:
-        """Explicit measurement equivalent to per-copy measuring plus parity.
-
-        Element i sums the tensor products of base elements over all outcome
-        patterns with parity i; identical to
-        ((M0+M1)^{xL} + (-1)^i (M0-M1)^{xL}) / 2.  Only ``test_hiding.py``
-        calls it, as the explicit reference for the per-copy decoding.
-        """
-        if copies < 1:
-            raise ValueError("copies must be >= 1")
-        base = self.measurement.dims
-        dims = _folded_dims(base, copies, cap)
-        blocks = _tensor_bins([m.entries for m in self.measurement.elements], base, copies)
-        return Povm(dims, tuple(HermitianOperator(dims, b) for b in blocks))
-
 
 class GlobalPovmStrategy:
     """Measure the full L-copy state with one measurement; outcome o is the

@@ -112,10 +112,6 @@ class HermitianOperator:
             raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
         object.__setattr__(self, "entries", arr)
 
-    @property
-    def dim(self) -> int:
-        return self.dims.total
-
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from pthide import BipartiteDims, HermitianOperator, StateEnsemble
+from pthide import BipartiteDims, HermitianOperator, Povm, StateEnsemble, tensor
+from pthide.discrimination import _objective_operators
+from pthide.ensembles import _tensor_bins
 
 
 def random_hermitian(dims: BipartiteDims, rng, complex_entries=True) -> HermitianOperator:
@@ -76,8 +78,6 @@ def permuted_block_ensemble(
 
 
 def random_povm(rng, dims: BipartiteDims, n: int):
-    from pthide import Povm
-
     d = dims.total
     blocks = []
     for _ in range(n):
@@ -91,6 +91,43 @@ def random_povm(rng, dims: BipartiteDims, n: int):
         m = inv_sqrt @ b @ inv_sqrt
         elements.append(HermitianOperator(dims, (m + m.conj().T) / 2))
     return Povm(dims, tuple(elements))
+
+
+def fold(ensemble: StateEnsemble, copies: int) -> StateEnsemble:
+    """The ensemble of L independent preparations, the index-vector reference.
+
+    Items are ordered lexicographically in the index vector, with the first
+    copy's index most significant; probabilities multiply and states tensor.
+    """
+    dims = BipartiteDims(ensemble.dims.dA**copies, ensemble.dims.dB**copies)
+    items = ensemble.items
+    for _ in range(copies - 1):
+        items = [(a * b, tensor(x, y)) for a, x in items for b, y in ensemble.items]
+    return StateEnsemble(dims, tuple(items))
+
+
+def success_probability(ensemble: StateEnsemble, povm: Povm, use_pt: bool = False) -> float:
+    """Average probability sum_i eta_i Tr(rho_i M_i), optionally with rho_i^PT:
+    the reference that solver values and level POVMs are checked against."""
+    g = _objective_operators(ensemble, use_pt)
+    total = sum(complex(np.einsum("ij,ji->", gi, m.entries)) for gi, m in zip(g, povm.elements))
+    if abs(total.imag) > 1e-10 * (1.0 + abs(total.real)):
+        raise ValueError(f"objective has non-negligible imaginary part {total.imag:.3e}")
+    return float(total.real)
+
+
+def level_povm(measurement: Povm, copies: int) -> Povm:
+    """Explicit measurement equivalent to measuring every copy with a
+    two-outcome ``measurement`` and reporting the parity of the outcomes.
+
+    Element i sums the tensor products of base elements over all outcome
+    patterns with parity i; identical to
+    ((M0+M1)^{xL} + (-1)^i (M0-M1)^{xL}) / 2.
+    """
+    base = measurement.dims
+    dims = BipartiteDims(base.dA**copies, base.dB**copies)
+    blocks = _tensor_bins([m.entries for m in measurement.elements], base, copies)
+    return Povm(dims, tuple(HermitianOperator(dims, b) for b in blocks))
 
 
 @pytest.fixture

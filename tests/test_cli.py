@@ -82,6 +82,19 @@ def test_non_finite_ensemble_file_exits_2(tmp_path, capsys, subcommand, field):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("lmax", ["0", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--ensemble", "bell-example1"],
+    ["fig3", "--params", "2,3,6"],
+    ["hide-sim", "--ensemble", "bell-example1", "--csv"],
+], ids=["bounds", "fig3", "hide-sim-csv"])
+def test_lmax_below_one_exits_2_and_writes_nothing(capsys, argv, lmax):
+    code, out, err = run(capsys, *argv, "--lmax", lmax)
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_copies must be >= 1\n"
+
+
 def test_validate_good_ensemble(capsys):
     code, out, _ = run(capsys, "validate", "--ensemble", "bell-example1")
     assert code == 0

@@ -22,7 +22,6 @@ from pthide import (
     qg_level_two_state,
     qg_two_state,
     solve_optimal_value,
-    success_probability,
     validate_povm,
 )
 from pthide import discrimination
@@ -33,6 +32,7 @@ from pthide.operators import _eig_apply, _spectral
 
 from conftest import permuted_block_ensemble, permuted_block_stack, random_ensemble
 from conftest import random_hermitian, random_povm, random_state, random_two_state_ensemble
+from conftest import success_probability
 
 D22 = BipartiteDims(2, 2)
 
@@ -82,13 +82,6 @@ def test_success_probability_example2_identity_measurement():
     povm = guess_first_povm(res.ensemble.dims, 3)
     value = success_probability(res.ensemble, povm, use_pt=True)
     assert abs(value - float(res.eta0)) < 1e-12
-
-
-def test_success_probability_size_mismatch():
-    rng = np.random.default_rng(2)
-    e = random_two_state_ensemble(rng)
-    with pytest.raises(ValueError, match="outcomes"):
-        success_probability(e, random_povm(rng, D22, 3))
 
 
 def test_qg_two_state_examples():
@@ -416,16 +409,30 @@ def test_two_state_eigenbasis_path_matches_clip_oracle(complex_entries):
 
 @pytest.mark.parametrize("use_pt", [True, False])
 def test_two_state_povm_is_helstrom_measurement(use_pt):
-    # a dense two-state solve reports helstrom_measurement's POVM, bit for bit
+    # a two-state solve reports helstrom_measurement's POVM, bit for bit, on
+    # dense stacks and on split ones, where D = G0 - G1 may have a kernel
+    # spread over blocks
     rng = np.random.default_rng([18, use_pt])
-    for complex_entries in (False, True):
-        for ell in (1, 2):
-            e = coarse_grain(random_two_state_ensemble(rng, complex_entries=complex_entries), ell)
-            assert len(discrimination._components(_objective_operators(e, use_pt))) == 1
-            rep = solve_optimal_value(e, use_pt=use_pt)
-            povm = helstrom_measurement(e, use_pt=use_pt)
-            for got, want in zip(rep.povm.elements, povm.elements):
-                assert np.array_equal(got.entries, want.entries)
+    dense = [
+        coarse_grain(random_two_state_ensemble(rng, complex_entries=complex_entries), ell)
+        for complex_entries in (False, True)
+        for ell in (1, 2)
+    ]
+    for e in dense:
+        assert len(discrimination._components(_objective_operators(e, use_pt))) == 1
+    split = [
+        example1(bell_state()),
+        example2(d=3, m=1, n=2).ensemble,
+        example2(d=5, m=1, n=2).ensemble,
+        coarse_grain(example2(d=2, m=1, n=2).ensemble, 3),
+    ]
+    for e in split:
+        assert len(discrimination._components(_objective_operators(e, use_pt))) > 1
+    for e in dense + split:
+        rep = solve_optimal_value(e, use_pt=use_pt)
+        povm = helstrom_measurement(e, use_pt=use_pt)
+        for got, want in zip(rep.povm.elements, povm.elements):
+            assert np.array_equal(got.entries, want.entries)
 
 
 def test_two_state_gap_is_zero_where_the_eigenbasis_is_exact():
@@ -770,12 +777,11 @@ def test_certify_outcome_count_mismatch():
     ids=["outcomes", "dims"],
 )
 def test_success_probability_and_certify_refuse_a_misfit_alike(misfit, message):
-    # one check serves both: the same ValueError for the same POVM
+    # a POVM of the wrong outcome count or dims is refused, naming the misfit
     e = example1(bell_state())
-    for fn in (success_probability, certify_optimal):
-        with pytest.raises(ValueError) as info:
-            fn(e, misfit)
-        assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        certify_optimal(e, misfit)
+    assert str(info.value) == message
 
 
 def test_dual_bound_positive_parts_feasible():
@@ -1034,7 +1040,8 @@ def test_barrier_residual_minima_belong_to_the_reported_dual():
 
 def test_split_werner_solve_and_checks_stay_at_block_side(monkeypatch):
     # (2,1,2) at L=5 has side 1024: 992 1x1 blocks and one of side 32; the
-    # solve, the POVM check and the dual check never work at a larger side
+    # solve, the POVM check, the dual check and the Helstrom measurement
+    # never work at a larger side
     e = coarse_grain(example2(d=2, m=1, n=2).ensemble, 5)
     sides = []
     for name in ("eigh", "eigvalsh", "cholesky"):
@@ -1048,4 +1055,5 @@ def test_split_werner_solve_and_checks_stay_at_block_side(monkeypatch):
     assert rep.converged
     assert all(ok for _, _, ok in validate_povm(rep.povm))
     assert dual_bound(e, rep.dual_h).feasible
+    helstrom_measurement(e, use_pt=True)
     assert sides and max(sides) == 32

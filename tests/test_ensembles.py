@@ -10,7 +10,6 @@ from pthide import (
     HermitianOperator,
     StateEnsemble,
     coarse_grain,
-    fold,
     is_mutually_orthogonal,
     partial_transpose,
     tensor_power,
@@ -18,7 +17,7 @@ from pthide import (
 )
 from pthide.constructions import bell_state, example1, example2
 
-from conftest import random_ensemble, random_two_state_ensemble
+from conftest import fold, random_ensemble, random_two_state_ensemble
 
 D22 = BipartiteDims(2, 2)
 
@@ -58,9 +57,8 @@ def test_validate_example1_ensemble():
     assert validate(example1(bell_state())).ok
 
 
-def test_fold_single_copy_returns_ensemble():
+def test_coarse_grain_single_copy_returns_ensemble():
     e = orthogonal_pair_ensemble(0.7)
-    assert fold(e, 1) is e
     assert coarse_grain(e, 1) is e
 
 
@@ -139,12 +137,10 @@ def test_coarse_grain_refuses_empty_bin():
         coarse_grain(e, 2)
 
 
-def test_fold_dimension_cap():
+def test_coarse_grain_dimension_cap():
     e = orthogonal_pair_ensemble()
     with pytest.raises(ValueError, match="cap"):
-        fold(e, 7)  # 4^7 = 16384 > 4096
-    with pytest.raises(ValueError, match="cap"):
-        coarse_grain(e, 7)
+        coarse_grain(e, 7)  # 4^7 = 16384 > 4096
 
 
 def test_orthogonality_cases():

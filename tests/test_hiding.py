@@ -28,7 +28,7 @@ from pthide import (
 from pthide.constructions import bell_state, example1, example2
 from pthide.hiding import _finish
 
-from conftest import random_ensemble, random_povm, random_state
+from conftest import level_povm, random_ensemble, random_povm, random_state, success_probability
 
 D22 = BipartiteDims(2, 2)
 TRIALS = 100_000
@@ -197,7 +197,7 @@ def test_level_povm_identity(bell_ensemble, correlation_parity):
     # explicit parity measurement equals ((M0+M1)^xL +/- (M0-M1)^xL)/2
     m0, m1 = correlation_parity.measurement.elements
     for ell in (2, 3):
-        level = correlation_parity.level_povm(ell)
+        level = level_povm(correlation_parity.measurement, ell)
         total = tensor_power(m0 + m1, ell)
         diff = tensor_power(m0 - m1, ell)
         for i in (0, 1):
@@ -207,7 +207,7 @@ def test_level_povm_identity(bell_ensemble, correlation_parity):
 
 def test_level_povm_permutation_symmetric(correlation_parity):
     # measuring copies in any order is the same measurement
-    level = correlation_parity.level_povm(2)
+    level = level_povm(correlation_parity.measurement, 2)
     d = 4
     perm = np.arange(d * d).reshape(d, d).T.reshape(-1)  # swap the two copies
     for el in level.elements:
@@ -217,11 +217,11 @@ def test_level_povm_permutation_symmetric(correlation_parity):
 
 def test_level_parity_success_equals_level_value(bell_ensemble, optimal_parity):
     # per-copy parity success on the coarse ensemble equals the exact level value
-    from pthide import coarse_grain, success_probability, qg_level_two_state
+    from pthide import qg_level_two_state
 
     for ell in (2, 3):
         coarse = coarse_grain(bell_ensemble, ell)
-        level = optimal_parity.level_povm(ell)
+        level = level_povm(optimal_parity.measurement, ell)
         got = success_probability(coarse, level)
         assert abs(got - qg_level_two_state(bell_ensemble, ell)) < 1e-10
 
@@ -410,8 +410,8 @@ def test_direct_encoding_refuses_empty_bins_before_sampling(correlation_parity):
 
 def test_level_povm_matches_pattern_loop():
     # oracle: sum the tensor product of every outcome pattern into its parity
-    m0, m1 = random_povm(np.random.default_rng(71), D22, 2).elements
-    strat = PerCopyParityStrategy(Povm(D22, (m0, m1)))
+    base = random_povm(np.random.default_rng(71), D22, 2)
+    m0, m1 = base.elements
     for ell in (1, 2, 3, 4):
         blocks = [None, None]
         for pattern in product((0, 1), repeat=ell):
@@ -420,13 +420,9 @@ def test_level_povm_matches_pattern_loop():
                 term = tensor(term, m1 if bit else m0)
             parity = sum(pattern) % 2
             blocks[parity] = term if blocks[parity] is None else blocks[parity] + term
-        got = strat.level_povm(ell)
+        got = level_povm(base, ell)
         for el, ref in zip(got.elements, blocks):
             assert np.abs(el.entries - ref.entries).max() <= 1e-12
-    with pytest.raises(ValueError, match="cap"):
-        strat.level_povm(7)  # 4^7 = 16384 > 4096
-    with pytest.raises(ValueError, match="copies"):
-        strat.level_povm(0)
 
 
 def test_z_score_for_a_certain_strategy(bell_ensemble):
