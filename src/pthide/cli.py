@@ -38,12 +38,7 @@ from .hiding import (
     simulate_broadcast_scheme,
     simulate_direct_encoding,
 )
-from .multifold import (
-    _pt_upper_value,
-    decay_curve_from_value,
-    qg_level_upper_bound,
-    uniform_encoding_bound,
-)
+from .multifold import _pt_upper_value, decay_curve_from_value
 from .operators import DEFAULT_DIM_CAP, BipartiteDims
 from .serialize import (
     ensemble_to_dict,

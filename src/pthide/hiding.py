@@ -19,30 +19,46 @@ above the single-copy side.
 
 Both simulators draw copy by copy: one uniform per copy and trial gives the
 copy's index, jointly with its outcome under a per-copy parity strategy, and
-a trial keeps only its running index sum and its outcome parity.  A global
-POVM's outcome is drawn once, after the copies, from the law of the trial's
-bin, the same table :func:`exact_strategy_success` reads; no n^L table of
-L-copy states is built.  Each run builds that table once, from one
-convolution of the bin weights and, under parity, one per-copy Born table;
-it draws from the table and reads its own exact reference from it (see
-:class:`SimResult`): a run's ``analytic_reference`` equals
-:func:`exact_strategy_success` bit for bit, and is 1/n when the broadcast
-is withheld.  Memory is O(trials) whatever L, and no copy allocates an
-array: its uniforms fill one float64 buffer from numpy's default PCG64
-generator, and its category count and the outcome parity are reused uint8
-vectors.  The broadcast's one-time pad takes no arithmetic: (x + y - g)
-mod n equals x exactly when g = y (mod n), so a trial succeeds when its
-guess is y mod n (a guess outside [0, n) is refused), and x is drawn only
-when the broadcast is withheld.  Measured at 250,000 trials with parity on
-the Bell example (numpy 2.4.6, one thread, 2-core x86-64; the time at
-L = 16 less that at L = 1, per copy): 4-6 ns per copy and trial for
-broadcast and 8-13 ns for direct encoding, against 9-16 and 14-22 ns
-with a Philox generator and intp sums.
+a trial keeps only its index sum, as a residue mod n, and its outcome
+parity.  A global POVM's outcome is drawn once, after the copies, from the
+law of the trial's bin, the same table :func:`exact_strategy_success`
+reads; no n^L table of L-copy states is built.  Each run builds that table
+once, from one convolution of the bin weights and, under parity, one
+per-copy Born table; it draws from the table and reads its own exact
+reference from it (see :class:`SimResult`): a run's ``analytic_reference``
+equals :func:`exact_strategy_success` bit for bit, and is 1/n when the
+broadcast is withheld.  The broadcast's one-time pad takes no arithmetic:
+(x + y - g) mod n equals x exactly when g = y (mod n), so a trial succeeds
+when its guess is y mod n (a guess outside [0, n) is refused), and x is
+drawn only when the broadcast is withheld.
+
+A copy draws its trials in blocks of ``_BLOCK``, one block after another,
+each block's uniforms from one ``rng.random(out=...)`` call on numpy's
+default PCG64 generator.  A double takes one whole 64-bit output, so the
+blocks consume the stream exactly as one draw over all trials would, and
+the same seed gives the same success mask whatever the block size.  Direct
+encoding's symbols are drawn in blocks too: for n <= 2^32 numpy keeps the
+unused half of a 64-bit output in the generator between calls.  The
+withheld broadcast's uint8 symbols are not, since numpy buffers bytes only
+within one call, so they are one draw over all trials.  Every comparison
+of a draw is against a scalar: a law that depends on the trial, such as a
+direct-encoding copy's law given its residue, is drawn class by class, with
+no per-trial gather of thresholds.  A run therefore keeps a few narrow
+unsigned vectors per trial plus a fixed ~1 MB of block buffers: traced
+peak at 10^6 trials, L = 8, parity on the Bell example, 3.0-3.8 bytes per
+trial for broadcast and 4.0 for direct encoding.  Measured at 250,000
+trials with parity on the Bell example (numpy 2.4.6, one BLAS thread,
+2-core x86-64, best of 7; the time at L = 16 less that at L = 1, per
+copy): 3.8-7.7 ns per copy and trial for broadcast and 4.8-9.3 ns for
+direct encoding, where one PCG64 uniform alone takes 4.2-4.8 ns; a
+class-dependent law costs up to n (K - 1) comparisons for K categories, so
+direct encoding slows as n grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -60,6 +76,11 @@ from .operators import HermitianOperator, _hermitize
 RNG_NAME = "numpy-pcg64"
 #: Eigenvalues above this span the support of a single-copy state.
 _SUPPORT_TOL = 1e-10
+#: Trials per block of a copy's draw: 2^16 float64 uniforms take 512 KiB,
+#: so a block's uniforms and narrow vectors stay in a 2 MiB L2 cache.
+_BLOCK = 1 << 16
+#: The largest uniform ``Generator.random`` returns.
+_U_MAX = float(np.nextafter(1.0, 0.0))
 
 
 class PerCopyParityStrategy:
@@ -159,6 +180,8 @@ class ProtocolConfig:
             raise ValueError("copies must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2^64)")
 
 
 @dataclass(frozen=True)
@@ -203,33 +226,69 @@ def _born_table(states, elements) -> np.ndarray:
     return table / row_sums[:, None]
 
 
-def _sample_rows(rng, table, rows, out, buffers) -> np.ndarray:
-    """Categorical draws into ``out``, one uniform each: from ``table[rows]``
-    when ``table`` is 2-D, from the single law ``table`` for every entry of
-    ``rows`` when it is 1-D.  ``buffers`` holds three vectors of ``rows``'s
-    shape, the uniforms (float64, filled by ``rng.random(out=...)``, the
-    same stream as ``rng.random(shape)``), the comparisons (bool) and the
-    gathered thresholds (float64, for a 2-D table), so a draw allocates no
-    array.
+def _cuts(table) -> list:
+    """The comparisons of a categorical draw from each row of ``table`` (a
+    1-D table is one row), as one entry per row, or a single entry when
+    every row has the same comparisons.
 
-    A draw counts the cumulative weights of its row at or below its uniform,
-    capped at the last category.  With non-negative weights the cap is the
-    same as never comparing the last column, so each other column takes one
-    pass over the draws.  Callers give ``out`` the smallest unsigned type
-    that holds the last category, where adding a comparison costs about a
-    third of adding it to an intp.  A 2-D table's thresholds are gathered
-    with intp ``rows``, as narrow indices gather 2-7x slower, and with
-    ``mode="clip"`` (the rows are in range by construction), as the default
-    mode makes ``take`` buffer its output.
+    A draw's category is the number of its row's cumulative weights, the
+    last one left out, at or below its uniform u.  An entry is (base,
+    levels): ``base`` counts the weights <= 0, which every u reaches, the
+    weights above ``_U_MAX`` are never reached, and each distinct weight in
+    between is one comparison, a (level, times) pair counted as often as
+    the weight occurs.
     """
-    u, hit, gathered = buffers
+    entries = []
+    for cum in np.cumsum(np.atleast_2d(table), axis=1)[:, :-1].tolist():
+        # cum is nondecreasing, so equal weights are adjacent
+        live = (c for c in cum if 0.0 < c <= _U_MAX)
+        levels = tuple((level, len(list(run))) for level, run in groupby(live))
+        entries.append((sum(c <= 0.0 for c in cum), levels))
+    return entries[:1] if all(e == entries[0] for e in entries) else entries
+
+
+def _draw(rng, cuts, classes, out, scratch) -> np.ndarray:
+    """Categorical draws into ``out``, one uniform each, from one
+    ``rng.random(out=...)`` call (the stream of ``rng.random(out.shape)``):
+    entry i from the law of row ``classes[i]`` of the :func:`_cuts` list
+    ``cuts``, or from its one law.  ``scratch`` holds the uniforms (float64)
+    and two vectors of ``out``'s unsigned type, at least as long as ``out``,
+    so a draw allocates no array.
+
+    Each law's comparisons run over the whole block, against its scalar
+    levels, and a law other than the first is blended into ``out`` on its
+    class only, by wrapping unsigned arithmetic: no threshold is gathered
+    per draw, and no masked ufunc runs (``np.add(..., where=...)`` took
+    0.9 ms per 2^16 draws, against 5 us unmasked).
+    """
+    u, hit, count = (b[: out.size] for b in scratch)
     rng.random(out=u)
-    cum = np.cumsum(table, axis=-1)
-    out.fill(0)
-    for k in range(table.shape[-1] - 1):
-        edge = cum[k] if table.ndim == 1 else np.take(cum[:, k], rows, out=gathered, mode="clip")
-        out += np.greater_equal(u, edge, out=hit).view(np.uint8)
+    for r, (base, levels) in enumerate(cuts):
+        dst = count if r else out
+        dst.fill(base)
+        for level, times in levels:
+            np.greater_equal(u, level, out=hit)
+            if times > 1:
+                hit *= times
+            dst += hit
+        if r:  # out += [classes == r] (count - out), modulo the type's range
+            count -= out
+            count *= np.equal(classes, r, out=hit)
+            out += count
     return out
+
+
+def _add_mod(state, c, n: int, tmp) -> None:
+    """state = (state + c) mod n in place, for residues and c in [0, n): the
+    sum is below 2n, and the unsigned ``sum - n`` wraps above it exactly
+    when the sum is below n, so the smaller of the two is the residue."""
+    state += c
+    np.minimum(state, np.subtract(state, n, out=tmp), out=state)
+
+
+def _blocks(trials: int) -> list:
+    """The trials' slices, ``_BLOCK`` at a time, in order."""
+    return [slice(lo, lo + _BLOCK) for lo in range(0, trials, _BLOCK)]
 
 
 def _finish(success_mask, cfg, scheme, reference) -> SimResult:
@@ -240,7 +299,7 @@ def _finish(success_mask, cfg, scheme, reference) -> SimResult:
     or 1 has no spread: z is 0 if the estimate equals it and +-inf otherwise,
     which can only mean a sampler bug.
     """
-    p_hat = float(success_mask.mean())
+    p_hat = int(np.count_nonzero(success_mask)) / cfg.trials
     stderr = float(np.sqrt(max(p_hat * (1.0 - p_hat), 1e-300) / cfg.trials))
     if reference in (0.0, 1.0):
         z = 0.0 if p_hat == reference else float(np.copysign(np.inf, p_hat - reference))
@@ -259,41 +318,69 @@ def _finish(success_mask, cfg, scheme, reference) -> SimResult:
     )
 
 
-def _draw_guesses(rng, coarse, laws, state: np.ndarray, n: int) -> np.ndarray:
-    """Draw the copies one at a time and return the receiver's guesses.
+def _draw_guesses(rng, coarse, laws, trials: int, x=None):
+    """Draw the copies one at a time; return the receiver's guesses and each
+    trial's index sum mod n.
 
-    ``coarse`` is the run's :func:`_coarse_table`.  ``laws`` gives, copy by
-    copy, the law of the copy's index c: 1-D for the same law in every
-    trial, or 2-D with one row per value of ``state``, a (trials,) integer
-    vector (intp when it indexes rows) to which each drawn c is added in
-    place.  Under parity, c and the copy's outcome o are drawn together,
-    with one uniform, from the 2n categories 2c + o of law(c) * P(o | c),
-    P(o | c) being the per-copy Born table in ``coarse``, and only the
-    outcome parity is kept; under a global POVM, whose outcome depends on
-    the copies only through the bin of their modulo-n sum, the outcome is
-    drawn from that bin's row of ``coarse``.  The copies share one set of
-    :func:`_sample_rows` buffers, and the category count and the
-    parity are reused narrow unsigned vectors: no copy allocates an array,
-    and no (trials, copies) array or n^L table is built.
+    ``coarse`` is the run's :func:`_coarse_table`.  A trial's sum is kept as
+    its residue mod n, starting at 0, or at -x with the symbols ``x`` of
+    direct encoding, and each drawn index c is added modulo n.  ``laws``
+    gives, copy by copy, the law of c: 1-D for the same law in every trial,
+    or 2-D with one row per residue.  Under parity, c and the copy's
+    outcome o are drawn together, with one uniform, from the 2n categories
+    2c + o of law(c) * P(o | c), P(o | c) being the per-copy Born table in
+    ``coarse``, and only the outcome parity is kept; under a global POVM,
+    whose outcome depends on the copies only through the bin of their
+    modulo-n sum (the residue, plus x), the outcome is drawn from that
+    bin's row of ``coarse``, with the bin as the class of :func:`_draw`.
+
+    Each copy draws its trials ``_BLOCK`` at a time, in order, so its
+    uniforms are the stream of one draw over all trials.  The blocks share
+    one set of scratch vectors, and per trial a run keeps only narrow
+    unsigned vectors (the residue, the parity or guess, and x): no copy
+    allocates an array, and no (trials, copies) array or n^L table is built.
     """
-    _, table, guesses, outcome = coarse
-    buffers = (np.empty(state.shape), np.empty(state.shape, dtype=bool), np.empty(state.shape))
-    k = np.empty(state.shape, dtype=np.min_scalar_type(2 * n - 1))
-    if outcome is not None:
-        parity = np.zeros(state.shape, dtype=np.uint8)
-        for law in laws:
-            joint = (law[..., None] * outcome).reshape(*law.shape[:-1], -1)
-            _sample_rows(rng, joint, state, k, buffers)
-            parity ^= k  # k = 2c + o: the low bit is o; the rest is cleared below
-            k >>= 1
-            state += k
-        return parity & 1
-    start = state.copy()
+    bin_eta, table, guesses, outcome = coarse
+    n = len(bin_eta)
+    dtype = np.min_scalar_type(max(2 * n - 1, table.shape[1] - 1))
+    blocks = _blocks(trials)
+    size = min(trials, _BLOCK)
+    drawn = np.empty(size, dtype=dtype)
+    scratch = (np.empty(size), np.empty(size, dtype=dtype), np.empty(size, dtype=dtype))
+    tmp = scratch[1]  # free between draws
+    if x is None:
+        state = np.zeros(trials, dtype=dtype)
+    else:
+        state = np.subtract(n, x, dtype=dtype)
+        state %= n
+    parity = None if outcome is None else np.zeros(trials, dtype=np.uint8)
     for law in laws:
-        state += _sample_rows(rng, law, state, k, buffers)
-    bins = ((state - start) % n).astype(np.intp, copy=False)
-    drawn = np.empty(state.shape, dtype=np.min_scalar_type(table.shape[1] - 1))
-    return guesses[_sample_rows(rng, table, bins, drawn, buffers)]
+        if parity is not None:
+            law = (law[..., None] * outcome).reshape(*law.shape[:-1], -1)
+        cuts = _cuts(law)
+        for b in blocks:
+            s = state[b]
+            k = _draw(rng, cuts, s, drawn[: s.size], scratch)
+            if parity is not None:
+                parity[b] ^= k  # k = 2c + o: the low bit is o; the rest is cleared below
+                k >>= 1
+            _add_mod(s, k, n, tmp[: s.size])
+    if parity is not None:
+        parity &= 1
+        return parity, state
+    cuts = _cuts(table)
+    narrow = guesses.astype(np.min_scalar_type(n - 1))
+    guess = np.empty(trials, dtype=narrow.dtype)
+    spare = np.empty(size, dtype=dtype)
+    for b in blocks:
+        bins = state[b]
+        if x is not None:  # the sum started at -x
+            bins = spare[: bins.size]
+            bins[...] = state[b]
+            _add_mod(bins, x[b], n, tmp[: bins.size])
+        outcomes = _draw(rng, cuts, bins, drawn[: bins.size], scratch)
+        np.take(narrow, outcomes, out=guess[b], mode="clip")
+    return guess, state
 
 
 def simulate_broadcast_scheme(
@@ -312,21 +399,22 @@ def simulate_broadcast_scheme(
     y_guess = y (mod n), a trial succeeds when y mod n equals its guess,
     and x is drawn, after the copies, only when the broadcast is withheld.
 
-    Copies are drawn one at a time, each index (jointly with its outcome
-    under parity) from one uniform, and only the running index sum (in the
-    narrowest unsigned type that holds (n - 1) L) and the outcome parity are
-    kept: memory is O(trials) whatever L, and a copy costs 4-6 ns per trial
-    under parity (see the module notes).
+    Copies are drawn one at a time, in blocks of trials, each index
+    (jointly with its outcome under parity) from one uniform of one law
+    shared by every trial, and only y mod n and the outcome parity are
+    kept, in narrow unsigned vectors: 3.0-3.8 bytes per trial whatever L,
+    and a copy costs 3.8-7.7 ns per trial under parity, near the cost of
+    its uniform (see the module notes).
     """
     n = cfg.ensemble.n
     coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, cap)
     rng = np.random.default_rng(cfg.seed)
-    y = np.zeros(cfg.trials, dtype=np.min_scalar_type((n - 1) * cfg.copies))
-    guess = _draw_guesses(rng, coarse, [cfg.ensemble.probabilities] * cfg.copies, y, n)
+    laws = [cfg.ensemble.probabilities] * cfg.copies
+    guess, y = _draw_guesses(rng, coarse, laws, cfg.trials)
     if withhold_broadcast:
         x = rng.integers(0, n, cfg.trials, dtype=np.min_scalar_type(n - 1))
         return _finish(guess == x, cfg, "broadcast", 1.0 / n)
-    return _finish(y % n == guess, cfg, "broadcast", _exact_success(coarse, "broadcast"))
+    return _finish(y == guess, cfg, "broadcast", _exact_success(coarse, "broadcast"))
 
 
 def _direct_laws(etas: np.ndarray, copies: int):
@@ -338,14 +426,12 @@ def _direct_laws(etas: np.ndarray, copies: int):
     bin); P_m is the cyclic convolution of P_{m-1} with eta, summed in the
     order of :func:`pthide.ensembles._mod_sum_bins`, so P_L is bit for bit
     the bin weights :func:`_coarse_table` would convolve.  A trial's row is
-    its unreduced state s = n - x + (sum drawn so far), which starts at
-    n - x and only grows, to at most n + (n-1) L: row s is the law for
-    r = -s (mod n), repeated periodically over n (L + 1) rows, so no draw
-    reduces modulo n.
+    its residue s = (sum drawn so far) - x (mod n), which starts at -x: row
+    s is the law for r = -s (mod n), one row per residue.
     """
     n = len(etas)
     shift = (np.arange(n)[:, None] - np.arange(n)) % n  # shift[r, c] = r - c (mod n)
-    rows = -np.arange(n * (copies + 1)) % n
+    rows = -np.arange(n) % n
     bins = np.eye(n)[0]
     laws = []
     for _ in range(copies):
@@ -366,27 +452,32 @@ def simulate_direct_encoding(
     The coarse state is prepared exactly, as an index vector conditioned on
     its modulo-n sum, one copy at a time: each index is drawn from its law
     given the sum still to be drawn (:func:`_direct_laws`), jointly with its
-    outcome under parity, from one uniform; memory is O(trials) whatever L,
-    and a copy costs 8-13 ns per trial under parity (see the module
-    notes), of which the per-trial gathers of its law's thresholds take
-    about a third, as the uniforms do.  A symbol whose bin is empty (with
-    uniform x: any empty bin) is refused before any draw.
+    outcome under parity, from one uniform.  A copy's law depends on a
+    trial only through its residue, so the trials are drawn class by class
+    against each residue's scalar thresholds, with no per-trial gather.  A
+    run keeps 4.0 bytes per trial whatever L (the symbol, the residue, the
+    parity and the success mask), and a copy costs 4.8-9.3 ns per trial
+    under parity on the Bell example (see the module notes).  A symbol
+    whose bin is empty (with uniform x: any empty bin) is refused before
+    any draw.
     """
     n = cfg.ensemble.n
     bin_eta, laws = _direct_laws(cfg.ensemble.probabilities, cfg.copies)
     coarse = _coarse_table(cfg.ensemble, cfg.copies, cfg.strategy, cap, bin_eta)
     rng = np.random.default_rng(cfg.seed)
+    xs = np.empty(cfg.trials, dtype=np.min_scalar_type(n - 1))
     if x is None:
         if np.any(bin_eta <= 0.0):
             raise ValueError("a coarse bin has zero probability; direct encoding undefined")
-        xs = rng.integers(0, n, cfg.trials)
+        for b in _blocks(cfg.trials):
+            xs[b] = rng.integers(0, n, xs[b].size)
     else:
         if not 0 <= x < n:
             raise ValueError(f"symbol {x} out of range for n={n}")
         if bin_eta[x] <= 0.0:
             raise ValueError(f"coarse bin {x} has zero probability; direct encoding undefined")
-        xs = np.full(cfg.trials, x, dtype=np.intp)
-    guess = _draw_guesses(rng, coarse, laws, n - xs, n)
+        xs.fill(x)
+    guess, _ = _draw_guesses(rng, coarse, laws, cfg.trials, xs)
     return _finish(guess == xs, cfg, "direct-encoding", _exact_success(coarse, "direct", x))
 
 

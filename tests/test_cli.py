@@ -264,6 +264,21 @@ def test_seed_and_cap_only_where_used(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("seed, code", [(-1, 2), (2**64, 2), (2**70, 2), (2**64 - 1, 0)])
+def test_hide_sim_seed_must_fit_64_bits(capsys, seed, code):
+    # --seed is a 64-bit RNG seed: outside [0, 2^64) the run exits 2 with
+    # one error line and no output
+    got, out, err = run(
+        capsys, "hide-sim", "--ensemble", "bell-example1", "--trials", "1000", "--seed", str(seed)
+    )
+    assert got == code
+    if code:
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert json.loads(out)["seed"] == seed
+
+
 def test_example2_invalid_params_exit_2(capsys):
     code, _, err = run(capsys, "example2", "--m", "1", "--n", "3", "--d", "3")
     assert code == 2

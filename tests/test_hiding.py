@@ -70,12 +70,13 @@ def test_born_sampling_matches_probabilities():
     )  # some fixed two-outcome measurement
     strat = PerCopyParityStrategy(povm)
     from pthide import StateEnsemble
-    from pthide.hiding import _sample_rows
+    from pthide.hiding import _cuts, _draw
 
     def draw(table, rows):
-        out = np.empty(rows.shape, dtype=np.min_scalar_type(table.shape[-1] - 1))
-        buffers = (np.empty(rows.shape), np.empty(rows.shape, dtype=bool), np.empty(rows.shape))
-        return _sample_rows(rng, table, rows, out, buffers)
+        dtype = np.min_scalar_type(max(table.shape[-1] - 1, rows.max()))
+        out = np.empty(rows.shape, dtype=dtype)
+        scratch = (np.empty(rows.shape), np.empty(rows.shape, dtype=dtype), np.empty_like(out))
+        return _draw(rng, _cuts(table), rows.astype(dtype), out, scratch)
 
     e = StateEnsemble(D22, ((1.0, rng_state),))
     table = strat.outcome_table(e)
@@ -518,12 +519,13 @@ def test_coarse_table_is_the_bin_average_of_born_rows(etas, copies, outcomes, se
 
 def test_simulation_memory_does_not_grow_with_copies(bell_ensemble, correlation_parity):
     # copies are drawn one at a time: peak traced memory at L = 64 stays at
-    # its L = 2 level (a (trials, L) index array alone is 51 MB at L = 64)
+    # its L = 2 level (a (trials, L) index array alone is 51 MB at L = 64),
+    # and a run holds at most 12 bytes per trial, at 10^6 trials and L = 8
     import tracemalloc
 
-    def peak(runner, ell):
+    def peak(runner, ell, trials=100_000):
         cfg = ProtocolConfig(
-            ensemble=bell_ensemble, copies=ell, trials=100_000, seed=5,
+            ensemble=bell_ensemble, copies=ell, trials=trials, seed=5,
             strategy=correlation_parity,
         )
         tracemalloc.start()
@@ -535,6 +537,7 @@ def test_simulation_memory_does_not_grow_with_copies(bell_ensemble, correlation_
 
     for runner in (simulate_broadcast_scheme, simulate_direct_encoding):
         assert peak(runner, 64) <= 1.25 * peak(runner, 2)
+        assert peak(runner, 8, 10**6) <= 12 * 10**6
 
 
 def test_three_state_simulation_matches_exact():
@@ -570,8 +573,8 @@ def test_three_state_simulation_matches_exact():
     copies=st.integers(1, 12),
 )
 def test_direct_encoding_laws(etas, copies):
-    # each copy's law given the sum still to draw: rows are laws on every
-    # nonempty bin, periodic in the unreduced state s, and equal to
+    # each copy's law given the sum still to draw: one row per residue s of
+    # the running sum, a law on every nonempty bin, equal to
     # eta_c P_{m-1}(r - c) / P_m(r) for r = -s (mod n); every index they can
     # draw leads to a nonempty bin of the next copy, and after the last copy
     # the sum drawn is the encoded symbol
@@ -585,11 +588,10 @@ def test_direct_encoding_laws(etas, copies):
     prefix = [np.eye(n)[0]] + [np.array(_mod_sum_bins(etas, m)) for m in range(1, copies + 1)]
     assert len(laws) == copies
     for law, m in zip(laws, range(copies, 0, -1)):
-        assert law.shape == (n * (copies + 1), n)
+        assert law.shape == (n, n)
         assert np.all(law >= 0.0)
         for s, row in enumerate(law):
             r = -s % n
-            assert np.array_equal(row, law[s % n])
             if prefix[m][r] <= 0.0:
                 continue
             assert abs(row.sum() - 1.0) <= 1e-12
@@ -690,7 +692,8 @@ def test_guess_outside_the_symbols_is_refused(bell_ensemble):
 
 
 def _oracle_sample_rows(rng, table, rows):
-    """The categorical draw of the allocating sampler: fresh arrays, intp rows."""
+    """The categorical draw of the allocating sampler: fresh arrays, one
+    uniform per row, and a 2-D table's thresholds gathered per row."""
     cum = np.cumsum(table, axis=-1)
     u = rng.random(rows.shape)
     out = np.zeros(rows.shape, dtype=np.min_scalar_type(table.shape[-1] - 1))
@@ -700,11 +703,12 @@ def _oracle_sample_rows(rng, table, rows):
 
 
 def _oracle_success_mask(cfg, scheme, x=None):
-    """Oracle: the copy loop of the allocating sampler, with an intp running
-    sum and the one-time pad computed, (x + y - guess) mod n == x.  x is
-    drawn after the copies, as there, but in the simulator's narrowest type
-    rather than intp, which draws other values: only the withheld mask
-    reads it."""
+    """Oracle: the copy loop of the allocating sampler, over all trials at
+    once, with an unreduced intp running sum (a direct-encoding law's row
+    is its residue) and the one-time pad computed, (x + y - guess) mod n ==
+    x.  x is drawn after the copies, as there, but in the simulator's
+    narrowest type rather than intp, which draws other values: only the
+    withheld mask reads it."""
     from pthide.hiding import _coarse_table, _direct_laws
 
     n = cfg.ensemble.n
@@ -724,12 +728,12 @@ def _oracle_success_mask(cfg, scheme, x=None):
         guess = np.zeros_like(state)
         for law in laws:
             joint = (law[..., None] * outcome).reshape(*law.shape[:-1], -1)
-            k = _oracle_sample_rows(rng, joint, state)
+            k = _oracle_sample_rows(rng, joint, state % n)
             state += k >> 1
             guess ^= k & 1
     else:
         for law in laws:
-            state += _oracle_sample_rows(rng, law, state)
+            state += _oracle_sample_rows(rng, law, state % n)
         guess = guesses[_oracle_sample_rows(rng, table, (state - start) % n)]
     if scheme in ("direct", "fixed"):
         return guess == xs
@@ -739,10 +743,11 @@ def _oracle_success_mask(cfg, scheme, x=None):
 
 
 def test_sampler_masks_equal_the_allocating_oracle(monkeypatch):
-    # the reused narrow buffers and the one-time-pad identity draw the same
-    # trials as the allocating loop: success masks equal bit for bit, for
-    # parity and global strategies, n = 2, 3, 5 and L up to 70 (n = 5 at
-    # L = 70 sums to 280, past uint8)
+    # the blocked draws, the narrow residues and the one-time-pad identity
+    # draw the same trials as the allocating loop: success masks equal bit
+    # for bit, for parity and global strategies, n = 2, 3, 5 and L up to 70
+    # (n = 5 at L = 70 sums to 280, past uint8), with the trials in one
+    # block and, at a block of 1234, in three blocks of unequal size
     from pthide import hiding
 
     masks = []
@@ -753,7 +758,6 @@ def test_sampler_masks_equal_the_allocating_oracle(monkeypatch):
         return finish(success_mask, *args)
 
     monkeypatch.setattr(hiding, "_finish", recorded)
-    rng = np.random.default_rng(85)
     one = BipartiteDims(1, 1)
 
     def skewed(dims):
@@ -761,34 +765,40 @@ def test_sampler_masks_equal_the_allocating_oracle(monkeypatch):
         etas = np.r_[np.ones(n - 1), 10.0 * n] / (11 * n - 1)
         return StateEnsemble(dims, tuple((eta, random_state(dims, rng)) for eta in etas))
 
-    for n in (2, 3, 5):
-        e, flat = skewed(D22), skewed(one)  # side 1 at every L
-        assert n < 5 or 70 * (np.arange(n) @ e.probabilities) > 260
-        parity = PerCopyParityStrategy(random_povm(rng, D22, 2))
-        for ell in (1, 2, 7, 70):
-            cases = [(e, parity), (flat, GlobalPovmStrategy(random_povm(rng, one, 3), [0, 1, 1]))]
-            if ell < 7:
-                dims = BipartiteDims(2**ell, 2**ell)
-                cases.append((e, GlobalPovmStrategy(random_povm(rng, dims, 3), rng.permutation(3) % n)))
-            elif ell == 7:
-                side = BipartiteDims(1, 2)
-                ens = skewed(side)
-                povm = random_povm(rng, BipartiteDims(1, 2**ell), 4)
-                cases.append((ens, GlobalPovmStrategy(povm, rng.integers(0, n, 4))))
-            for ens, strat in cases:
-                cfg = ProtocolConfig(
-                    ensemble=ens, copies=ell, trials=3000, seed=int(rng.integers(2**63)),
-                    strategy=strat,
-                )
-                runs = (
-                    ("broadcast", None, lambda: simulate_broadcast_scheme(cfg)),
-                    ("withhold", None, lambda: simulate_broadcast_scheme(cfg, True)),
-                    ("direct", None, lambda: simulate_direct_encoding(cfg)),
-                    ("fixed", n - 1, lambda: simulate_direct_encoding(cfg, x=n - 1)),
-                )
-                for scheme, x, run in runs:
-                    masks.clear()
-                    run()
-                    expected = _oracle_success_mask(cfg, scheme, x)
-                    assert masks[0].dtype == bool
-                    assert np.array_equal(masks[0], expected), (n, ell, strat.name, scheme)
+    for block in (hiding._BLOCK, 1234):
+        monkeypatch.setattr(hiding, "_BLOCK", block)
+        rng = np.random.default_rng(85)
+        for n in (2, 3, 5):
+            e, flat = skewed(D22), skewed(one)  # side 1 at every L
+            assert n < 5 or 70 * (np.arange(n) @ e.probabilities) > 260
+            parity = PerCopyParityStrategy(random_povm(rng, D22, 2))
+            for ell in (1, 2, 7, 70):
+                flat_povm = GlobalPovmStrategy(random_povm(rng, one, 3), [0, 1, 1])
+                cases = [(e, parity), (flat, flat_povm)]
+                if ell < 7:
+                    dims = BipartiteDims(2**ell, 2**ell)
+                    povm = random_povm(rng, dims, 3)
+                    cases.append((e, GlobalPovmStrategy(povm, rng.permutation(3) % n)))
+                elif ell == 7:
+                    side = BipartiteDims(1, 2)
+                    ens = skewed(side)
+                    povm = random_povm(rng, BipartiteDims(1, 2**ell), 4)
+                    cases.append((ens, GlobalPovmStrategy(povm, rng.integers(0, n, 4))))
+                for ens, strat in cases:
+                    cfg = ProtocolConfig(
+                        ensemble=ens, copies=ell, trials=3000, seed=int(rng.integers(2**63)),
+                        strategy=strat,
+                    )
+                    runs = (
+                        ("broadcast", None, lambda: simulate_broadcast_scheme(cfg)),
+                        ("withhold", None, lambda: simulate_broadcast_scheme(cfg, True)),
+                        ("direct", None, lambda: simulate_direct_encoding(cfg)),
+                        ("fixed", n - 1, lambda: simulate_direct_encoding(cfg, x=n - 1)),
+                    )
+                    for scheme, x, run in runs:
+                        masks.clear()
+                        run()
+                        expected = _oracle_success_mask(cfg, scheme, x)
+                        assert masks[0].dtype == bool
+                        case = (block, n, ell, strat.name, scheme)
+                        assert np.array_equal(masks[0], expected), case
